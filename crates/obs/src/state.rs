@@ -632,6 +632,44 @@ mod tests {
         assert_eq!(st.peak_pending, 1);
     }
 
+    /// The planner skips re-sending a prediction equal to the one it last
+    /// sent; that is sound only if re-noting it would change nothing.
+    #[test]
+    fn renoting_an_unchanged_prediction_changes_nothing() {
+        let first = [(7, 1_000), (9, 500)];
+        let completed = |task| TelemetryEvent::TaskCompleted {
+            task,
+            stage: 0,
+            instance: 0,
+            slot: 0,
+            exec: Millis::from_ms(400),
+            transfer: Millis::ZERO,
+            restarts: 0,
+        };
+        let mut sent = ObsState::new(ObsConfig::default());
+        let mut resent = ObsState::new(ObsConfig::default());
+        for st in [&mut sent, &mut resent] {
+            st.note_plan_tick(&first, 1, 2);
+        }
+        // the next tick re-estimates task 9 only; the deduped sender leaves
+        // task 7 out
+        sent.note_plan_tick(&[(9, 450)], 1, 2);
+        resent.note_plan_tick(&[(7, 1_000), (9, 450)], 1, 2);
+        assert_eq!(sent.pending_pred, resent.pending_pred);
+        assert_eq!(sent.peak_pending, resent.peak_pending);
+        for st in [&mut sent, &mut resent] {
+            st.record(Millis::from_ms(10), &completed(7));
+            st.record(Millis::from_ms(20), &completed(9));
+        }
+        assert_eq!(sent.peak_pending, resent.peak_pending);
+        assert_eq!(sent.state_bytes(), resent.state_bytes());
+        let (a, b) = (sent.snapshot(), resent.snapshot());
+        assert_eq!(a.health.pred_abs_err_ms.count, 2);
+        assert_eq!(a.health.pred_abs_err_ms, b.health.pred_abs_err_ms);
+        assert_eq!(a.health.pred_rel_milli, b.health.pred_rel_milli);
+        assert_eq!(a.to_json_string(), b.to_json_string());
+    }
+
     #[test]
     fn footprint_tracks_in_flight_not_lifetime() {
         let mut st = ObsState::new(ObsConfig::default());

@@ -61,10 +61,8 @@ pub fn projected_finish(inner: &WirePolicy, snapshot: &MonitorSnapshot<'_>) -> M
     let ns = snapshot.total_stages();
     let mut stage_work = vec![Millis::ZERO; ns];
     let mut stage_longest = vec![Millis::ZERO; ns];
-    // tasks below the done-prefix watermark would all hit the Done arm
-    for (i, tv) in snapshot.tasks.iter().enumerate().skip(snapshot.done_prefix) {
-        let task = wire_dag::TaskId(i as u32);
-        let status = match *tv {
+    for t in snapshot.live_tasks() {
+        let status = match t.view {
             TaskView::Done { .. } => continue,
             TaskView::Unready => wire_predictor::TaskStatus::UnstartedBlocked,
             TaskView::Ready => wire_predictor::TaskStatus::UnstartedReady,
@@ -72,8 +70,8 @@ pub fn projected_finish(inner: &WirePolicy, snapshot: &MonitorSnapshot<'_>) -> M
                 wire_predictor::TaskStatus::Running { age: exec_age }
             }
         };
-        let stage = snapshot.stage_of(task);
-        let p = predictor.predict_occupancy(stage, snapshot.spec(task).input_bytes, status);
+        let stage = t.stage();
+        let p = predictor.predict_occupancy(stage, t.spec().input_bytes, status);
         let s = stage.index();
         stage_work[s] += p.remaining;
         stage_longest[s] = stage_longest[s].max(p.remaining);

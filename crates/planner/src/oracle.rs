@@ -9,7 +9,7 @@
 
 use crate::lookahead::lookahead;
 use crate::steering::{steer, SteeringConfig};
-use wire_dag::{ExecProfile, Millis, TaskId};
+use wire_dag::{ExecProfile, Millis};
 use wire_simcloud::{MonitorSnapshot, PoolPlan, ScalingPolicy, TaskView, TransferModel};
 
 /// WIRE with ground-truth occupancy estimates.
@@ -53,15 +53,14 @@ impl ScalingPolicy for OracleWirePolicy {
         );
         let mut remaining = vec![Millis::ZERO; wf.num_tasks()];
         let mut values = vec![Millis::ZERO; wf.num_tasks()];
-        // rows below the done-prefix watermark stay at the zero they were
-        // initialised with — exactly what the Done arm would have written
-        for (i, tv) in snapshot.tasks.iter().enumerate().skip(snapshot.done_prefix) {
-            let task = TaskId(i as u32);
-            let spec = wf.task(task);
+        // Done rows stay at the zero they were initialised with
+        for t in snapshot.live_tasks() {
+            let (task, i) = (t.id, t.id.index());
+            let spec = t.spec();
             let occupancy = self.profile.exec_time(task)
                 + self.transfer.expected(spec.input_bytes)
                 + self.transfer.expected(spec.output_bytes);
-            match *tv {
+            match t.view {
                 TaskView::Done { .. } => {}
                 TaskView::Running { occupied_for, .. } => {
                     remaining[i] = occupancy.saturating_sub(occupied_for);

@@ -3,7 +3,7 @@
 
 use crate::lookahead::{lookahead_into, LookaheadScratch};
 use crate::steering::{steer, steer_explained, SteeringConfig};
-use wire_dag::{Millis, TaskId};
+use wire_dag::Millis;
 use wire_obs::StreamingRecorder;
 use wire_predictor::{
     CompletedTaskObs, Estimator, IntervalObservations, MemoryModel, PolicyKind, Predictor,
@@ -87,18 +87,19 @@ pub struct WirePolicy {
     /// reallocated, each tick.
     obs: Option<IntervalObservations>,
     /// Per-task estimate arrays handed to the lookahead, overwritten in
-    /// place every tick.
+    /// place every tick for live tasks and zeroed once at completion.
+    /// `values` doubles as the last prediction sent to `obs_sink`.
     remaining: Vec<Millis>,
     values: Vec<Millis>,
     /// Per-task memoized predictions keyed by version stamps.
     memo: Vec<Option<CachedPrediction>>,
-    /// How far the engine's done-prefix watermark had advanced when we last
-    /// zeroed estimate rows: rows below it hold `Millis::ZERO` / `None` and
-    /// the per-task loop starts there. See [`MonitorSnapshot::done_prefix`].
+    /// The engine's done-prefix watermark at the last tick; a retreat means
+    /// the policy is being reused for a fresh run.
+    /// See [`MonitorSnapshot::done_prefix`].
     done_seen: usize,
     /// Workflow slots fully below the done watermark whose stages have been
     /// retired in the predictor (their estimates can never be read again).
-    /// Advances with `done_seen`; reset alongside it on policy reuse.
+    /// Advances with `done_seen`; reset when the watermark retreats.
     retired_slots: usize,
     /// Reusable lookahead working state + output (zero projection
     /// allocations in steady state).
@@ -284,16 +285,13 @@ impl WirePolicy {
                 },
             );
         }
-        // tasks below the done-prefix watermark are Done, never Running
-        for (i, tv) in snapshot.tasks.iter().enumerate().skip(snapshot.done_prefix) {
-            if let TaskView::Running { exec_age, .. } = *tv {
-                let task = TaskId(i as u32);
-                let stage = snapshot.stage_of(task);
+        for t in snapshot.live_tasks() {
+            if let TaskView::Running { exec_age, .. } = t.view {
                 obs.push_running(
-                    stage.index(),
+                    t.stage().index(),
                     RunningTaskObs {
-                        task,
-                        input_bytes: snapshot.spec(task).input_bytes,
+                        task: t.id,
+                        input_bytes: t.spec().input_bytes,
                         age: exec_age,
                     },
                 );
@@ -371,26 +369,26 @@ impl ScalingPolicy for WirePolicy {
             self.values.resize(n, Millis::ZERO);
             self.memo.resize(n, None);
         }
-        // Adopt the engine's done-prefix watermark: every task below it is
-        // permanently Done, so its rows go to zero once (as the watermark
-        // passes) and the per-task loop starts there. A snapshot reporting 0
-        // — always sound — degrades to the full scan.
+        // Tasks that completed since the last tick leave the live walk for
+        // good: zero their rows once, here, so no pass revisits Done rows.
+        for c in snapshot.new_completions {
+            let i = c.task.index();
+            if i < n {
+                self.remaining[i] = Millis::ZERO;
+                self.values[i] = Millis::ZERO;
+                self.memo[i] = None;
+            }
+        }
+        // Workflows fully below the engine's done-prefix watermark are
+        // finished: no task of theirs will ever be predicted again, so the
+        // predictor may stop converging their stages' models (see
+        // `Predictor::retire_stages_below` for why this is unobservable).
         let dp = snapshot.done_prefix.min(n);
         if dp < self.done_seen {
-            self.done_seen = dp; // equal-size policy reuse across runs
-            self.retired_slots = 0;
+            self.retired_slots = 0; // equal-size policy reuse across runs
             predictor.reset_retirement();
         }
-        for i in self.done_seen..dp {
-            self.remaining[i] = Millis::ZERO;
-            self.values[i] = Millis::ZERO;
-            self.memo[i] = None;
-        }
         self.done_seen = dp;
-        // Workflows fully below the watermark are finished: no task of
-        // theirs will ever be predicted again, so the predictor may stop
-        // converging their stages' models (see
-        // `Predictor::retire_stages_below` for why this is unobservable).
         while self.retired_slots < snapshot.workflows.len() {
             let slot = &snapshot.workflows[self.retired_slots];
             if slot.task_base as usize + slot.num_tasks() > dp {
@@ -402,21 +400,16 @@ impl ScalingPolicy for WirePolicy {
         let transfer_version = predictor.transfer_version();
         let mut uses = [0u64; 5];
         let (memo_hits_before, memo_lookups_before) = (self.memo_hits, self.memo_lookups);
-        for (i, tv) in snapshot.tasks.iter().enumerate().skip(dp) {
-            let task = TaskId(i as u32);
-            let status = match *tv {
-                TaskView::Done { .. } => {
-                    self.remaining[i] = Millis::ZERO;
-                    self.values[i] = Millis::ZERO;
-                    self.memo[i] = None;
-                    continue;
-                }
+        for t in snapshot.live_tasks() {
+            let (task, i) = (t.id, t.id.index());
+            let status = match t.view {
+                TaskView::Done { .. } => continue, // never yielded by the walk
                 TaskView::Unready => TaskStatus::UnstartedBlocked,
                 TaskView::Ready => TaskStatus::UnstartedReady,
                 TaskView::Running { exec_age, .. } => TaskStatus::Running { age: exec_age },
             };
-            let input_bytes = snapshot.spec(task).input_bytes;
-            let stage = snapshot.stage_of(task);
+            let input_bytes = t.spec().input_bytes;
+            let stage = t.stage();
             let (remaining, value, policy) = if matches!(status, TaskStatus::Running { .. }) {
                 // age advances every tick — nothing to memoize
                 let p = predictor.predict_occupancy(stage, input_bytes, status);
@@ -445,6 +438,14 @@ impl ScalingPolicy for WirePolicy {
                     }
                 }
             };
+            // The sink keeps the latest prediction per task, and `values[i]`
+            // is the one last sent: re-sending an unchanged value is a no-op
+            // there, so skip it. A zero row may never have been sent (fresh,
+            // or zeroed at completion), so it always goes out.
+            let previous = self.values[i];
+            if self.obs_sink.is_some() && (value != previous || previous.is_zero()) {
+                self.pred_buf.push((task.0, value.as_ms()));
+            }
             self.remaining[i] = remaining;
             self.values[i] = value;
             uses[Self::policy_index(policy)] += 1;
@@ -456,9 +457,6 @@ impl ScalingPolicy for WirePolicy {
                     snapshot.now,
                     value,
                 );
-            }
-            if self.obs_sink.is_some() {
-                self.pred_buf.push((task.0, value.as_ms()));
             }
         }
         for (slot, fired) in self.policy_uses.iter_mut().zip(uses) {

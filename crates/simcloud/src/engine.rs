@@ -1081,8 +1081,9 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
         };
         let (plan, controller_elapsed) = {
             let visible = self.arrived_tasks();
-            // naive mode reports no prefix: policies and the scratch window
-            // rebuild fall back to full scans, as before the optimization
+            // naive mode reports no prefix and no live index: the snapshot
+            // build and the policies fall back to full scans, as before the
+            // optimization
             let done_prefix = if self.naive { 0 } else { self.done_prefix };
             let snapshot = build_snapshot(
                 &mut self.snapshot_scratch,
@@ -1961,12 +1962,12 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
 #[derive(Default)]
 struct SnapshotScratch {
     tasks: Vec<TaskView>,
-    /// Rows `< clean` were `Done` (and therefore time-independent) when they
-    /// were last built, so the next tick keeps them and rebuilds only
-    /// `[clean..visible]` — the per-tick monitor cost tracks *live* tasks,
-    /// not all tasks ever arrived. Naive mode passes `done_prefix = 0`,
-    /// forcing the historical full rebuild.
-    clean: usize,
+    /// Live-task index: ascending ids of the rows that were not `Done` when
+    /// last built. Each tick rebuilds only these rows plus newly arrived
+    /// ones, so the per-tick monitor cost tracks *live* tasks, not all tasks
+    /// ever arrived. Empty (and withheld from the snapshot) in naive mode,
+    /// which rebuilds every row.
+    live: Vec<TaskId>,
     /// Overwritten in place; only `instances[..instances_len]` is live. Slots
     /// past the logical length are kept so a shrinking pool doesn't drop the
     /// inner task-Vec capacity it will need when the pool grows again.
@@ -2003,36 +2004,57 @@ fn build_snapshot<'a, S: Scheduler>(
     spent_milli: u64,
 ) -> MonitorSnapshot<'a> {
     let visible = phases.len();
-    // Rows below `scratch.clean` were Done at the last build; Done is
-    // permanent and its view time-independent, so keep them verbatim and
-    // rebuild only the live window.
-    let start = scratch.clean.min(visible).min(scratch.tasks.len());
-    scratch.tasks.truncate(start);
-    scratch
-        .tasks
-        .extend(phases[start..].iter().enumerate().map(|(off, ph)| {
-            let i = start + off;
-            match ph {
-                TaskPhase::Unready => TaskView::Unready,
-                TaskPhase::Ready => TaskView::Ready,
-                TaskPhase::Running => {
-                    let run = runs[i];
-                    TaskView::Running {
-                        instance: run.instance,
-                        exec_age: now.saturating_sub(run.exec_start),
-                        occupied_for: now - run.assigned_at,
-                    }
-                }
-                TaskPhase::Done => {
-                    let r = records[i].expect("done task has a record");
-                    TaskView::Done {
-                        exec_time: r.exec_time,
-                        transfer_time: r.transfer_time,
-                    }
-                }
+    let indexed = active_ids.is_some();
+    let view = |i: usize| match phases[i] {
+        TaskPhase::Unready => TaskView::Unready,
+        TaskPhase::Ready => TaskView::Ready,
+        TaskPhase::Running => {
+            let run = runs[i];
+            TaskView::Running {
+                instance: run.instance,
+                exec_age: now.saturating_sub(run.exec_start),
+                occupied_for: now - run.assigned_at,
             }
-        }));
-    scratch.clean = done_prefix.min(visible);
+        }
+        TaskPhase::Done => {
+            let r = records[i].expect("done task has a record");
+            TaskView::Done {
+                exec_time: r.exec_time,
+                transfer_time: r.transfer_time,
+            }
+        }
+    };
+    // A row outside the live index was Done when last built; Done is
+    // permanent and its view time-independent, so only last tick's live rows
+    // and the newly arrived rows are rebuilt. The naive core rebuilds every
+    // row, as before the index existed.
+    if !indexed || scratch.tasks.len() > visible {
+        scratch.tasks.clear();
+        scratch.live.clear();
+    }
+    scratch.live.retain(|&t| {
+        let v = view(t.index());
+        scratch.tasks[t.index()] = v;
+        !v.is_done()
+    });
+    for i in scratch.tasks.len()..visible {
+        let v = view(i);
+        if indexed && !v.is_done() {
+            scratch.live.push(TaskId(i as u32));
+        }
+        scratch.tasks.push(v);
+    }
+    debug_assert!(
+        !indexed
+            || scratch
+                .tasks
+                .iter()
+                .enumerate()
+                .filter(|(_, v)| !v.is_done())
+                .map(|(i, _)| TaskId(i as u32))
+                .eq(scratch.live.iter().copied()),
+        "live index diverges from the task views"
+    );
 
     let mut live = 0usize;
     let mut emit_instance = |i: &Instance| {
@@ -2088,8 +2110,10 @@ fn build_snapshot<'a, S: Scheduler>(
         workflows,
         config,
         done_prefix: done_prefix.min(visible),
-        // active_ids is withheld exactly when the engine runs naive
-        naive: active_ids.is_none(),
+        // active_ids is withheld exactly when the engine runs naive, and so
+        // is the live index
+        live: indexed.then_some(&scratch.live[..]),
+        naive: !indexed,
         tasks: &scratch.tasks,
         instances: &scratch.instances[..scratch.instances_len],
         new_completions,

@@ -49,7 +49,8 @@ pub use engine::{run_workflow, run_workflow_recorded, Engine, RunError};
 pub use family::{FamilyId, FamilySpec, MemoryProfile, SpotSpec};
 pub use instance::{InstanceId, InstanceStateView};
 pub use observe::{
-    CompletionView, InstanceView, MonitorSnapshot, SnapshotBuffers, TaskView, WorkflowSlot,
+    CompletionView, InstanceView, LiveTask, MonitorSnapshot, SnapshotBuffers, TaskView,
+    WorkflowSlot,
 };
 pub use policy::{PoolPlan, ScalingPolicy, TerminateWhen};
 pub use result::{RunResult, TaskRecord, WorkflowOutcome};

@@ -152,6 +152,29 @@ impl<'a> WorkflowSlot<'a> {
     }
 }
 
+/// One live task, as [`MonitorSnapshot::live_tasks`] hands it out.
+#[derive(Debug, Clone, Copy)]
+pub struct LiveTask<'a> {
+    /// Session-global task id.
+    pub id: TaskId,
+    /// Its current view (never [`TaskView::Done`]).
+    pub view: TaskView,
+    /// The workflow slot owning `id`.
+    pub slot: &'a WorkflowSlot<'a>,
+}
+
+impl<'a> LiveTask<'a> {
+    /// The task's static spec (its `id`/`stage` fields are workflow-local).
+    pub fn spec(&self) -> &'a TaskSpec {
+        self.slot.workflow.task(self.slot.local_task(self.id))
+    }
+
+    /// Global stage id of the task.
+    pub fn stage(&self) -> StageId {
+        self.slot.global_stage(self.spec().stage)
+    }
+}
+
 /// Full monitoring snapshot handed to [`crate::ScalingPolicy::plan`] each tick.
 ///
 /// All collection fields are borrowed slices: the engine writes them into a
@@ -169,10 +192,18 @@ pub struct MonitorSnapshot<'a> {
     pub config: &'a CloudConfig,
     /// Watermark: every task with index `< done_prefix` is
     /// [`TaskView::Done`]. Always sound to ignore (0 is valid for any
-    /// snapshot); consumers may use it to skip the completed prefix when
-    /// scanning `tasks`, which keeps per-tick work proportional to *live*
-    /// tasks in long streaming sessions.
+    /// snapshot). It is only a lower bound on the live tasks: one long
+    /// workflow holds it back while later workflows finish above it, so
+    /// per-task passes walk [`live_tasks`](Self::live_tasks) instead, which
+    /// uses the [`live`](Self::live) index when present and scans
+    /// `tasks[done_prefix..]` otherwise.
     pub done_prefix: usize,
+    /// Live-task index: the ids of every task in `tasks` that is not
+    /// [`TaskView::Done`], ascending. `None` means "not indexed" and is
+    /// always sound; the walk then falls back to the `done_prefix` scan.
+    /// The engine withholds it in naive mode, and hand-built
+    /// [`SnapshotBuffers`] snapshots carry none.
+    pub live: Option<&'a [TaskId]>,
     /// The engine is running its naive (pre-indexing) core. Policy-side fast
     /// paths should fall back to their dense historical equivalents so the
     /// naive configuration stays an honest end-to-end baseline.
@@ -231,6 +262,7 @@ impl SnapshotBuffers {
             workflows,
             config,
             done_prefix: 0,
+            live: None,
             naive: false,
             tasks: &self.tasks,
             instances: &self.instances,
@@ -258,26 +290,59 @@ impl<'a> MonitorSnapshot<'a> {
             .count() as u32
     }
 
-    /// Number of tasks not yet completed. (Scans only past `done_prefix`;
-    /// everything below it is done by construction.)
-    pub fn incomplete_tasks(&self) -> usize {
-        self.tasks[self.done_prefix..]
+    /// Every task not yet [`TaskView::Done`], in ascending id order, each
+    /// with its view and owning workflow slot. Walks the [`live`](Self::live)
+    /// index when present (O(live tasks)) and otherwise scans
+    /// `tasks[done_prefix..]`; both yield the same sequence. The slot comes
+    /// from a cursor that only moves forward, so the walk does no per-task
+    /// search.
+    pub fn live_tasks(&self) -> impl Iterator<Item = LiveTask<'a>> + 'a {
+        let workflows = self.workflows;
+        let mut cursor = 0;
+        self.live_views().map(move |(id, view)| {
+            while cursor + 1 < workflows.len() && workflows[cursor + 1].task_base <= id.0 {
+                cursor += 1;
+            }
+            LiveTask {
+                id,
+                view,
+                slot: &workflows[cursor],
+            }
+        })
+    }
+
+    /// The `(id, view)` pairs of [`live_tasks`](Self::live_tasks), without
+    /// slot resolution. Exactly one of the two chained halves is non-empty.
+    fn live_views(&self) -> impl Iterator<Item = (TaskId, TaskView)> + 'a {
+        let tasks = self.tasks;
+        let (index, scan) = match self.live {
+            Some(ids) => (ids, 0..0),
+            None => (&[][..], self.done_prefix.min(tasks.len())..tasks.len()),
+        };
+        index
             .iter()
-            .filter(|t| !t.is_done())
-            .count()
+            .map(move |&t| (t, tasks[t.index()]))
+            .chain(scan.filter_map(move |i| {
+                let view = tasks[i];
+                (!view.is_done()).then_some((TaskId(i as u32), view))
+            }))
+    }
+
+    /// Number of tasks not yet completed.
+    pub fn incomplete_tasks(&self) -> usize {
+        self.live_views().count()
     }
 
     /// Number of active tasks (ready or running) — the pure-reactive signal.
     pub fn active_tasks(&self) -> usize {
-        self.tasks[self.done_prefix..]
-            .iter()
-            .filter(|t| matches!(t, TaskView::Ready | TaskView::Running { .. }))
+        self.live_views()
+            .filter(|(_, t)| matches!(t, TaskView::Ready | TaskView::Running { .. }))
             .count()
     }
 
     /// Are all arrived workflows finished?
     pub fn workflow_done(&self) -> bool {
-        self.tasks[self.done_prefix..].iter().all(TaskView::is_done)
+        self.live_views().next().is_none()
     }
 
     /// Total stages across arrived workflows (the global stage-space size).

@@ -8,11 +8,14 @@
 //!   in-memory telemetry buffer recorded on the same run;
 //! * determinism: the campaign-wide `OBS_snapshot` bytes must be identical
 //!   at 1 and 8 worker threads, and identical between cold- and warm-cache
-//!   runs (cache-served cells rehydrate their snapshots from disk).
+//!   runs (cache-served cells rehydrate their snapshots from disk);
+//! * dedupe: the planner's skipping of unchanged predictions must leave the
+//!   snapshot bytes of a churning (spot-evicting, OOM-restarting) session
+//!   where they were when every prediction was re-sent.
 
 use std::path::PathBuf;
 
-use wire::core::experiment::{cloud_config_for, run_ensemble_obs, Setting};
+use wire::core::experiment::{cloud_config, cloud_config_for, run_ensemble_obs, Setting};
 use wire::obs::ObsConfig;
 use wire::prelude::*;
 use wire_campaign::{run_campaign, CacheMode, CampaignConfig, Cell};
@@ -211,4 +214,55 @@ fn obs_snapshot_bytes_are_thread_count_and_cache_invariant() {
     // and the bytes round-trip through the parser losslessly
     let parsed = wire::obs::ObsSnapshot::from_json_str(&bytes_one).expect("snapshot parses");
     assert_eq!(parsed.to_json_string(), bytes_one);
+}
+
+/// `fnv1a` of the `ObsSnapshot` JSON of the session below, recorded before
+/// the planner stopped re-sending unchanged predictions to the sink.
+const CHURN_OBS_DIGEST: u64 = 0xf5f976c07f0d20fc;
+
+/// The planner sends a prediction to the sink only when it differs from the
+/// last one sent for that task. On a two-workflow session with spot
+/// evictions and OOM restarts (resubmitted tasks are predicted again while
+/// their old estimate is still pending), the snapshot bytes must not move.
+#[test]
+fn prediction_dedupe_keeps_obs_snapshot_bytes_under_churn() {
+    let (epi, epi_prof) = WorkloadId::EpigenomicsS.generate(1);
+    let (tpch, tpch_prof) = WorkloadId::Tpch6S.generate(2);
+    let mem = MemoryProfile::uniform(epi.num_tasks() + tpch.num_tasks(), 200, 700).unwrap();
+    let mut cfg = cloud_config(Setting::Wire, Millis::from_mins(1));
+    let slots = cfg.slots_per_instance;
+    cfg.families = vec![
+        FamilySpec::new("od", slots, 1000),
+        FamilySpec::new("spot", slots, 1000)
+            .spot(Millis::from_mins(20), 400)
+            .memory_mb(800),
+    ];
+    let steering = SteeringConfig {
+        spot_on_demand_floor: Some(0.0),
+        memory_blind_families: true,
+        ..SteeringConfig::default()
+    };
+    let obs = StreamingRecorder::new();
+    let result = Session::new(cfg)
+        .transfer(TransferModel::default())
+        .policy(WirePolicy::new(steering).with_obs(obs.clone()))
+        .seed(3)
+        .memory(mem)
+        .recording(obs.clone())
+        .submit(&epi, &epi_prof)
+        .submit_at(Millis::from_mins(10), &tpch, &tpch_prof)
+        .run()
+        .expect("run completes despite the churn");
+    assert!(result.evictions > 0, "no spot evictions");
+    assert!(result.oom_restarts > 0, "no OOM restarts");
+    assert_eq!(
+        result.task_records.len(),
+        epi.num_tasks() + tpch.num_tasks()
+    );
+    let json = obs.snapshot().to_json_string();
+    assert_eq!(
+        fnv1a(json.as_bytes()),
+        CHURN_OBS_DIGEST,
+        "obs snapshot moved: {json}"
+    );
 }
