@@ -25,7 +25,7 @@ use wire_workloads::{linear_workflow, WorkloadId};
 /// line), so warm-cache campaigns merge the same observability aggregates
 /// as cold ones.
 ///
-/// v3: the cloud config's `first_five_priority` bool became the
+/// v3: the cloud config's first-five boolean became the
 /// [`wire_simcloud::SchedulerSpec`] selector; keys hash the scheduler tag
 /// (`sched=fifo-ff` et al.) instead of the old `first5` bool.
 ///

@@ -1,9 +1,9 @@
 //! Figure/table regeneration as thin front-ends over the campaign runner.
 //!
-//! Each function here reproduces one `wire-bench` binary's artifact — same
-//! stdout tables, same CSV bytes — but enumerates its runs as campaign
-//! cells, so the work shards across the thread pool and completed cells are
-//! served from the content-addressed cache. The merge order is the spec
+//! Each [`FigureRunner`] method regenerates the artifact of one
+//! `wire campaign <target>`: it enumerates its runs as campaign cells, so
+//! the work shards across the thread pool and completed cells are served
+//! from the content-addressed cache. The merge order is the spec
 //! order, which keeps every regenerated `results/*.csv` byte-identical
 //! regardless of thread count or cache state.
 
@@ -1047,7 +1047,9 @@ impl FigureRunner {
 }
 
 /// The campaign cells of a §IV-C grid, enumerated (workload, setting, unit)
-/// outer, repetition inner — the exact order `ExperimentGrid::run` produces.
+/// outer, repetition inner. Repetition `k` uses seed `base_seed + k`, shared
+/// across settings so every policy faces the same run realization (paired
+/// comparison).
 pub fn grid_cells(grid: &ExperimentGrid) -> Vec<Cell> {
     let mut cells = Vec::new();
     for &w in &grid.workloads {

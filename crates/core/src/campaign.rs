@@ -166,19 +166,23 @@ pub fn expected_settings() -> Vec<&'static str> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::ExperimentGrid;
+    use crate::experiment::run_setting;
     use wire_dag::Millis;
     use wire_workloads::WorkloadId;
 
     fn small_grid() -> Vec<GridResult> {
-        ExperimentGrid {
-            workloads: vec![WorkloadId::Tpch6S],
-            settings: vec![Setting::FullSite, Setting::Wire],
-            charging_units: vec![Millis::from_mins(15)],
-            repetitions: 2,
-            base_seed: 3,
-        }
-        .run()
+        let u = Millis::from_mins(15);
+        [Setting::FullSite, Setting::Wire]
+            .into_iter()
+            .map(|s| GridResult {
+                workload: WorkloadId::Tpch6S,
+                setting: s,
+                charging_unit: u,
+                runs: (0..2)
+                    .map(|k| run_setting(WorkloadId::Tpch6S, s, u, 3 + k))
+                    .collect(),
+            })
+            .collect()
     }
 
     #[test]

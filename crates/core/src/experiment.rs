@@ -6,13 +6,10 @@
 //! charging units of 1/15/30/60 minutes. Each run is repeated with distinct
 //! seeds (the paper uses 3–7 repetitions per setting).
 
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use wire_dag::Millis;
-use wire_obs::{ObsConfig, StreamingRecorder};
 use wire_planner::{PureReactive, ReactiveConserving, StaticPolicy, WirePolicy};
 use wire_simcloud::{CloudConfig, RunResult, ScalingPolicy, SchedulerSpec, Session, TransferModel};
-use wire_telemetry::{TelemetryBuffer, TelemetryHandle};
 use wire_workloads::{EnsembleSpec, WorkloadId};
 
 use crate::stats;
@@ -154,117 +151,6 @@ pub fn run_ensemble(
     })
 }
 
-/// Like [`run_ensemble`], with the bounded-memory [`StreamingRecorder`]
-/// riding the engine (and, under [`Setting::Wire`], the planner's
-/// prediction/memoization side-channel). Returns the recorder alongside
-/// the result so callers can take the deterministic [`ObsSnapshot`] and
-/// the wall-clock health report.
-///
-/// [`ObsSnapshot`]: wire_obs::ObsSnapshot
-pub fn run_ensemble_obs(
-    spec: &EnsembleSpec,
-    setting: Setting,
-    charging_unit: Millis,
-    seed: u64,
-    obs_cfg: ObsConfig,
-) -> (RunResult, StreamingRecorder) {
-    let members = spec.generate(seed);
-    let cfg = cloud_config(setting, charging_unit);
-    let recorder = StreamingRecorder::with_config(obs_cfg);
-    let policy: Box<dyn ScalingPolicy + Send> = match setting {
-        Setting::Wire => Box::new(WirePolicy::default().with_obs(recorder.clone())),
-        other => build_policy(other, &cfg),
-    };
-    let mut session = Session::new(cfg)
-        .transfer(TransferModel::default())
-        .policy(policy)
-        .seed(seed)
-        .recording(recorder.clone());
-    for m in &members {
-        session = session.submit_at(m.submit_at, &m.workflow, &m.profile);
-    }
-    let result = session.run().unwrap_or_else(|e| {
-        panic!(
-            "ensemble[{}] / {} / u={}: {e}",
-            members.len(),
-            setting.label(),
-            charging_unit
-        )
-    });
-    recorder.note_session(result.makespan.as_ms(), result.charging_units);
-    (result, recorder)
-}
-
-/// Like [`run_setting`], with the bounded-memory [`StreamingRecorder`]
-/// attached — the single-workload form of [`run_ensemble_obs`].
-pub fn run_setting_obs(
-    workload: WorkloadId,
-    setting: Setting,
-    charging_unit: Millis,
-    seed: u64,
-    obs_cfg: ObsConfig,
-) -> (RunResult, StreamingRecorder) {
-    let (wf, prof) = workload.generate(seed);
-    let cfg = cloud_config_for(setting, charging_unit, workload.spec().total_input_bytes);
-    let recorder = StreamingRecorder::with_config(obs_cfg);
-    let policy: Box<dyn ScalingPolicy + Send> = match setting {
-        Setting::Wire => Box::new(WirePolicy::default().with_obs(recorder.clone())),
-        other => build_policy(other, &cfg),
-    };
-    let result = Session::new(cfg)
-        .transfer(TransferModel::default())
-        .policy(policy)
-        .seed(seed)
-        .recording(recorder.clone())
-        .submit(&wf, &prof)
-        .run()
-        .unwrap_or_else(|e| {
-            panic!(
-                "{} / {} / u={}: {e}",
-                workload.name(),
-                setting.label(),
-                charging_unit
-            )
-        });
-    recorder.note_session(result.makespan.as_ms(), result.charging_units);
-    (result, recorder)
-}
-
-/// Like [`run_setting`], with full telemetry: engine events, per-tick
-/// metrics and (under [`Setting::Wire`]) the MAPE decision journal and
-/// prediction-quality join all land in the returned [`TelemetryBuffer`],
-/// ready for the `wire_telemetry::export` writers.
-pub fn run_setting_telemetry(
-    workload: WorkloadId,
-    setting: Setting,
-    charging_unit: Millis,
-    seed: u64,
-) -> (RunResult, TelemetryBuffer) {
-    let (wf, prof) = workload.generate(seed);
-    let cfg = cloud_config_for(setting, charging_unit, workload.spec().total_input_bytes);
-    let handle = TelemetryHandle::new();
-    let policy: Box<dyn ScalingPolicy + Send> = match setting {
-        Setting::Wire => Box::new(WirePolicy::default().with_telemetry(handle.clone())),
-        other => build_policy(other, &cfg),
-    };
-    let result = Session::new(cfg)
-        .transfer(TransferModel::default())
-        .policy(policy)
-        .seed(seed)
-        .recording(handle.clone())
-        .submit(&wf, &prof)
-        .run()
-        .unwrap_or_else(|e| {
-            panic!(
-                "{} / {} / u={}: {e}",
-                workload.name(),
-                setting.label(),
-                charging_unit
-            )
-        });
-    (result, handle.take())
-}
-
 /// One grid cell: a (workload, setting, charging-unit) combination and its
 /// repeated runs.
 #[derive(Debug, Clone)]
@@ -337,57 +223,6 @@ impl ExperimentGrid {
             repetitions: reps,
             base_seed: 0xC0FFEE,
         }
-    }
-
-    /// Execute every cell; runs fan out across cores. Repetition `k` of a
-    /// workload uses seed `base_seed + k`, shared across settings so all four
-    /// policies face the *same* run realization (paired comparison).
-    pub fn run(&self) -> Vec<GridResult> {
-        let mut cells: Vec<(WorkloadId, Setting, Millis)> = Vec::new();
-        for &w in &self.workloads {
-            for &s in &self.settings {
-                for &u in &self.charging_units {
-                    cells.push((w, s, u));
-                }
-            }
-        }
-        cells
-            .into_par_iter()
-            .map(|(w, s, u)| {
-                let runs: Vec<RunResult> = (0..self.repetitions)
-                    .into_par_iter()
-                    .map(|k| run_setting(w, s, u, self.base_seed + k as u64))
-                    .collect();
-                GridResult {
-                    workload: w,
-                    setting: s,
-                    charging_unit: u,
-                    runs,
-                }
-            })
-            .collect()
-    }
-
-    /// Like [`ExperimentGrid::run`], but additionally re-runs the first
-    /// repetition of every cell with telemetry attached and persists the full
-    /// export set (events JSONL, Chrome trace, per-tick metrics CSV, decision
-    /// log) under `dir`. Runs are deterministic per seed, so the persisted
-    /// telemetry matches repetition 0 of the returned results exactly.
-    pub fn run_persisted(&self, dir: &std::path::Path) -> std::io::Result<Vec<GridResult>> {
-        let results = self.run();
-        for g in &results {
-            let (_, buffer) =
-                run_setting_telemetry(g.workload, g.setting, g.charging_unit, self.base_seed);
-            let stem = format!(
-                "{}-{}-u{}",
-                g.workload.name().to_lowercase().replace(' ', "-"),
-                g.setting.label(),
-                g.charging_unit.as_mins_f64() as u64
-            );
-            let slots = cloud_config(g.setting, g.charging_unit).slots_per_instance;
-            wire_telemetry::export::write_all(dir, &stem, &buffer, slots)?;
-        }
-        Ok(results)
     }
 }
 
@@ -513,17 +348,19 @@ mod tests {
 
     #[test]
     fn grid_runs_and_aggregates() {
-        let grid = ExperimentGrid {
-            workloads: vec![WorkloadId::Tpch6S],
-            settings: vec![Setting::FullSite, Setting::Wire],
-            charging_units: vec![Millis::from_mins(15)],
-            repetitions: 2,
-            base_seed: 7,
-        };
-        let results = grid.run();
-        assert_eq!(results.len(), 2);
+        let u = Millis::from_mins(15);
+        let results: Vec<GridResult> = [Setting::FullSite, Setting::Wire]
+            .into_iter()
+            .map(|s| GridResult {
+                workload: WorkloadId::Tpch6S,
+                setting: s,
+                charging_unit: u,
+                runs: (0..2)
+                    .map(|k| run_setting(WorkloadId::Tpch6S, s, u, 7 + k))
+                    .collect(),
+            })
+            .collect();
         for g in &results {
-            assert_eq!(g.runs.len(), 2);
             let c = g.cell();
             assert!(c.cost_mean > 0.0);
             assert!(c.makespan_mean_secs > 0.0);
@@ -535,22 +372,6 @@ mod tests {
         assert!(h.cost_ratio_min > 0.0);
         assert!(h.slowdown_min >= 1.0 - 1e-9);
         assert!((0.0..=1.0).contains(&h.frac_within_2x));
-    }
-
-    #[test]
-    fn telemetry_run_journals_every_tick_and_changes_nothing() {
-        let u = Millis::from_mins(15);
-        let (r, buffer) = run_setting_telemetry(WorkloadId::Tpch6S, Setting::Wire, u, 1);
-        assert_eq!(r.task_records.len(), 33);
-        assert!(!buffer.events.is_empty());
-        // one decision journal entry and one metrics row per MAPE tick
-        assert_eq!(buffer.decisions.len() as u64, r.mape_iterations);
-        assert_eq!(buffer.ticks.len() as u64, r.mape_iterations);
-        assert!(!buffer.quality.samples().is_empty());
-        // recording must not perturb the simulation
-        let plain = run_setting(WorkloadId::Tpch6S, Setting::Wire, u, 1);
-        assert_eq!(plain.makespan, r.makespan);
-        assert_eq!(plain.charging_units, r.charging_units);
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //!
 //! * [`experiment`] — the §IV-C grid: 4 workflows × 2 datasets ×
 //!   {full-site, pure-reactive, reactive-conserving, wire} × 4 charging units
-//!   with repetitions, fanned out across cores with rayon;
+//!   with repetitions, and [`run_setting`]/[`run_ensemble`] for one cell
+//!   (the `wire-campaign` crate shards and caches whole grids);
 //! * [`prediction`] — the §IV-D offline prediction-accuracy study behind
 //!   Figure 4 (per-stage error CDFs over random task orders);
 //! * [`stats`] — means/medians/stds/quantiles used in Figures 5–6;

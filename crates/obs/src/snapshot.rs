@@ -388,20 +388,23 @@ impl ObsSnapshot {
             }
         }
         if let Some(w) = v.get("windows") {
+            let width_ms = need_u64(w, "width_ms")?;
+            let evicted_windows = need_u64(w, "evicted_windows")?;
+            let evicted = parse_window(w.get("evicted").ok_or("evicted")?)?;
+            let mut live = Vec::new();
+            for entry in w.get("live").and_then(Json::as_arr).unwrap_or(&[]) {
+                let index = need_u64(entry, "index")?;
+                // the report prints each window's start time
+                if index.checked_mul(width_ms).is_none() {
+                    return Err(format!("window {index} starts past the time range"));
+                }
+                live.push((index, parse_window(entry.get("agg").ok_or("agg")?)?));
+            }
             snap.windows = WindowRollup {
-                width_ms: need_u64(w, "width_ms")?,
-                evicted_windows: need_u64(w, "evicted_windows")?,
-                evicted: parse_window(w.get("evicted").ok_or("evicted")?)?,
-                live: {
-                    let mut live = Vec::new();
-                    for entry in w.get("live").and_then(Json::as_arr).unwrap_or(&[]) {
-                        live.push((
-                            need_u64(entry, "index")?,
-                            parse_window(entry.get("agg").ok_or("agg")?)?,
-                        ));
-                    }
-                    live
-                },
+                width_ms,
+                evicted_windows,
+                evicted,
+                live,
             };
         }
         if let Some(h) = v.get("health") {
@@ -464,23 +467,42 @@ fn render_hist(out: &mut String, h: &Histogram) {
     out.push_str("]}");
 }
 
+/// Parse a histogram, rejecting shapes no recorder can produce: `min > max`
+/// on a non-empty sketch, bucket indices past [`Histogram::NUM_BUCKETS`],
+/// and bucket counts that overflow or do not sum to `count`.
 fn parse_hist(v: &Json) -> Result<Histogram, String> {
     let count = need_u64(v, "count")?;
     let sum = need_u64(v, "sum")? as f64;
-    let min = need_u64(v, "min")? as f64;
-    let max = need_u64(v, "max")? as f64;
+    let min = need_u64(v, "min")?;
+    let max = need_u64(v, "max")?;
+    if count > 0 && min > max {
+        return Err(format!("histogram min {min} exceeds max {max}"));
+    }
     let mut sparse = Vec::new();
+    let mut bucket_total = 0u64;
     for pair in v.get("buckets").and_then(Json::as_arr).unwrap_or(&[]) {
         let p = pair.as_arr().ok_or("bucket pair")?;
         if p.len() != 2 {
             return Err("bucket pair arity".to_string());
         }
-        sparse.push((
-            p[0].as_u64().ok_or("bucket index")? as usize,
-            p[1].as_u64().ok_or("bucket count")?,
+        let i = p[0].as_u64().ok_or("bucket index")?;
+        let c = p[1].as_u64().ok_or("bucket count")?;
+        if i >= Histogram::NUM_BUCKETS as u64 {
+            return Err(format!("bucket index {i} out of range"));
+        }
+        bucket_total = bucket_total
+            .checked_add(c)
+            .ok_or("bucket counts overflow")?;
+        sparse.push((i as usize, c));
+    }
+    if bucket_total != count {
+        return Err(format!(
+            "bucket counts sum to {bucket_total}, histogram count is {count}"
         ));
     }
-    Ok(Histogram::from_parts(count, sum, min, max, &sparse))
+    Ok(Histogram::from_parts(
+        count, sum, min as f64, max as f64, &sparse,
+    ))
 }
 
 fn render_window(out: &mut String, w: &WindowAgg) {
@@ -569,6 +591,50 @@ mod tests {
         let before = a.clone();
         a.merge(&ObsSnapshot::default());
         assert_eq!(a, before);
+    }
+
+    #[test]
+    fn malformed_histograms_are_rejected() {
+        let text = sample().to_json_string();
+        let good = "\"task_exec_ms\":{\"count\":3,\"sum\":129,\"min\":1,\"max\":120,\"buckets\":[[0,1],[3,1],[6,1]]}";
+        assert!(text.contains(good), "{text}");
+        for (bad, why) in [
+            (
+                "\"task_exec_ms\":{\"count\":3,\"sum\":129,\"min\":99,\"max\":1,\"buckets\":[[0,1],[3,1],[6,1]]}",
+                "exceeds max",
+            ),
+            (
+                "\"task_exec_ms\":{\"count\":3,\"sum\":129,\"min\":1,\"max\":120,\"buckets\":[[0,1],[3,1],[40,1]]}",
+                "out of range",
+            ),
+            (
+                "\"task_exec_ms\":{\"count\":3,\"sum\":129,\"min\":1,\"max\":120,\"buckets\":[[0,1],[3,1],[6,2]]}",
+                "sum to 4",
+            ),
+            (
+                "\"task_exec_ms\":{\"count\":3,\"sum\":129,\"min\":1,\"max\":120,\"buckets\":[[0,18446744073709551615],[3,1]]}",
+                "overflow",
+            ),
+        ] {
+            let err = ObsSnapshot::from_json_str(&text.replace(good, bad)).unwrap_err();
+            assert!(err.contains(why), "{why}: {err}");
+        }
+    }
+
+    #[test]
+    fn window_start_overflow_is_rejected() {
+        let text = sample().to_json_string();
+        assert!(text.contains("{\"index\":4,"), "{text}");
+        let bad = text.replace("{\"index\":4,", "{\"index\":18446744073709551615,");
+        let err = ObsSnapshot::from_json_str(&bad).unwrap_err();
+        assert!(err.contains("past the time range"), "{err}");
+    }
+
+    #[test]
+    fn committed_campaign_snapshot_parses() {
+        let text = include_str!("../../../results/OBS_snapshot.json");
+        let snap = ObsSnapshot::from_json_str(text).expect("committed snapshot parses");
+        assert_eq!(snap.to_json_string(), text);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! are widely observed in cloud loads."
 //!
 //! This module implements all three so the claim can be tested empirically
-//! (see the `ablation` bench binary and the estimator-comparison study).
+//! (see `wire campaign ablation` and the estimator-comparison study).
 
 use serde::{Deserialize, Serialize};
 use wire_dag::Millis;
@@ -21,7 +21,7 @@ pub enum Estimator {
     Mean,
     /// Three-sigma rule: mean of the observations within μ ± 3σ, i.e. the
     /// mean after discarding extreme outliers (Pukelsheim 1994, the paper's
-    /// [15]). With small samples it degenerates to the plain mean.
+    /// \[15\]). With small samples it degenerates to the plain mean.
     ThreeSigma,
 }
 

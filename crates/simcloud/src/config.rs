@@ -170,14 +170,6 @@ impl CloudConfig {
         }
     }
 
-    /// Deprecated shim for the pre-[`SchedulerSpec`] API: toggle the
-    /// first-five boost by installing the matching FIFO scheduler.
-    #[deprecated(since = "0.8.0", note = "set `scheduler: SchedulerSpec` instead")]
-    pub fn first_five_priority(mut self, on: bool) -> Self {
-        self.scheduler = SchedulerSpec::Fifo { first_five: on };
-        self
-    }
-
     /// Enable failure injection with the given mean time between failures.
     pub fn failures(mut self, mtbf: Millis) -> Self {
         self.mean_time_between_failures = Some(mtbf);
@@ -270,6 +262,8 @@ mod tests {
         assert_eq!(c.site_capacity, 12);
         assert_eq!(c.launch_lag, Millis::from_mins(3));
         assert_eq!(c.mape_interval, c.launch_lag);
+        // WIRE's patched framework: FIFO with the first-five boost
+        assert_eq!(c.scheduler, SchedulerSpec::first_five());
         assert!(c.validate().is_ok());
     }
 
@@ -322,19 +316,6 @@ mod tests {
         let c = c.failures(Millis::from_mins(30));
         assert_eq!(c.mean_time_between_failures, Some(Millis::from_mins(30)));
         assert!(c.validate().is_ok());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn first_five_shim_installs_matching_fifo() {
-        assert_eq!(
-            CloudConfig::default().scheduler,
-            SchedulerSpec::first_five()
-        );
-        let c = CloudConfig::default().first_five_priority(false);
-        assert_eq!(c.scheduler, SchedulerSpec::plain_fifo());
-        let c = c.first_five_priority(true);
-        assert_eq!(c.scheduler, SchedulerSpec::first_five());
     }
 
     #[test]

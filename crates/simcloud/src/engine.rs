@@ -82,9 +82,9 @@ struct RunInfo {
     transfer: Millis,
 }
 
-/// The engine. Use [`crate::Session`] for the common case; construct an
-/// `Engine` directly (or via [`Engine::recording`] to attach a telemetry
-/// [`Recorder`]) when you want the single-workflow constructor signature.
+/// The engine. [`crate::Session`] builds and runs it; construct one
+/// directly only through [`Engine::from_submissions_with`], to plug in a
+/// statically-typed [`Scheduler`].
 ///
 /// The default recorder is [`NoopRecorder`]: every telemetry call site is
 /// guarded by `recorder.enabled()`, which monomorphizes to a constant
@@ -245,80 +245,7 @@ fn naive_core_default() -> bool {
     *NAIVE.get_or_init(|| std::env::var("WIRE_NAIVE_CORE").is_ok_and(|v| v == "1"))
 }
 
-/// Run `wf` under `policy` and return the aggregate result.
-///
-/// Deprecated-in-docs: prefer the [`crate::Session`] builder —
-/// `Session::new(config).transfer(model).policy(policy).seed(seed)
-/// .submit(&wf, &prof).run()` — which reads the same in any argument order
-/// and extends to multi-workflow sessions. This wrapper is the N=1 special
-/// case and stays decision-identical to it.
-pub fn run_workflow<P: ScalingPolicy>(
-    wf: &Workflow,
-    profile: &ExecProfile,
-    config: CloudConfig,
-    transfer_model: TransferModel,
-    policy: P,
-    seed: u64,
-) -> Result<RunResult, RunError> {
-    Engine::new(wf, profile, config, transfer_model, policy, seed)?.run()
-}
-
-/// Like [`run_workflow`], but records telemetry into `recorder`.
-pub fn run_workflow_recorded<P: ScalingPolicy, R: Recorder>(
-    wf: &Workflow,
-    profile: &ExecProfile,
-    config: CloudConfig,
-    transfer_model: TransferModel,
-    policy: P,
-    seed: u64,
-    recorder: R,
-) -> Result<RunResult, RunError> {
-    Engine::recording(wf, profile, config, transfer_model, policy, seed, recorder)?.run()
-}
-
-impl<'a, P: ScalingPolicy> Engine<'a, P> {
-    pub fn new(
-        wf: &'a Workflow,
-        profile: &'a ExecProfile,
-        config: CloudConfig,
-        transfer_model: TransferModel,
-        policy: P,
-        seed: u64,
-    ) -> Result<Self, RunError> {
-        Engine::recording(
-            wf,
-            profile,
-            config,
-            transfer_model,
-            policy,
-            seed,
-            NoopRecorder,
-        )
-    }
-}
-
 impl<'a, P: ScalingPolicy, R: Recorder> Engine<'a, P, R> {
-    /// Construct an engine with a telemetry [`Recorder`] attached.
-    #[allow(clippy::too_many_arguments)]
-    pub fn recording(
-        wf: &'a Workflow,
-        profile: &'a ExecProfile,
-        config: CloudConfig,
-        transfer_model: TransferModel,
-        policy: P,
-        seed: u64,
-        recorder: R,
-    ) -> Result<Self, RunError> {
-        Engine::from_submissions(
-            vec![(Millis::ZERO, wf, profile)],
-            config,
-            transfer_model,
-            policy,
-            seed,
-            recorder,
-        )
-    }
-
     /// Construct a multi-workflow engine from `(submitted_at, workflow,
     /// profile)` triples; the [`crate::Session`] builder is the public face
     /// of this constructor. The scheduler is built from
@@ -346,9 +273,11 @@ impl<'a, P: ScalingPolicy, R: Recorder> Engine<'a, P, R> {
 }
 
 impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
-    /// Generic core constructor: like [`Engine::from_submissions`], but the
-    /// caller supplies the scheduler via `make_scheduler(num_tasks,
-    /// num_stages)` — the hook for statically-typed custom schedulers.
+    /// Generic core constructor: builds a multi-workflow engine from
+    /// `(submitted_at, workflow, profile)` triples like [`crate::Session`]
+    /// does, but the caller supplies the scheduler via
+    /// `make_scheduler(num_tasks, num_stages)` — the hook for
+    /// statically-typed custom schedulers.
     /// After construction every scheduler observes each submission (DAG +
     /// ground-truth profile) through [`Scheduler::prepare`], in submission
     /// order.
@@ -2127,6 +2056,7 @@ fn build_snapshot<'a, S: Scheduler>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Session;
     use wire_dag::WorkflowBuilder;
 
     /// Keeps the initial pool forever.
@@ -2183,10 +2113,25 @@ mod tests {
         }
     }
 
+    /// One workflow on `cfg` under `policy`, with free transfers.
+    fn session<'a, P: ScalingPolicy>(
+        wf: &'a Workflow,
+        prof: &'a ExecProfile,
+        cfg: CloudConfig,
+        policy: P,
+        seed: u64,
+    ) -> Session<'a, P> {
+        Session::new(cfg)
+            .transfer(TransferModel::none())
+            .policy(policy)
+            .seed(seed)
+            .submit(wf, prof)
+    }
+
     #[test]
     fn chain_on_one_instance_is_sequential() {
         let (wf, prof) = chain(5, 60);
-        let r = run_workflow(&wf, &prof, base_config(), TransferModel::none(), Hold, 1).unwrap();
+        let r = session(&wf, &prof, base_config(), Hold, 1).run().unwrap();
         assert_eq!(r.makespan, Millis::from_mins(5));
         assert_eq!(r.busy_slot_time, Millis::from_mins(5));
         assert_eq!(r.wasted_slot_time, Millis::ZERO);
@@ -2200,7 +2145,7 @@ mod tests {
     #[test]
     fn fanout_on_one_slot_serializes() {
         let (wf, prof) = fanout(4, 60);
-        let r = run_workflow(&wf, &prof, base_config(), TransferModel::none(), Hold, 1).unwrap();
+        let r = session(&wf, &prof, base_config(), Hold, 1).run().unwrap();
         assert_eq!(r.makespan, Millis::from_mins(4));
         assert_eq!(r.charging_units, 1);
     }
@@ -2212,7 +2157,7 @@ mod tests {
             initial_instances: 4,
             ..base_config()
         };
-        let r = run_workflow(&wf, &prof, cfg, TransferModel::none(), Hold, 1).unwrap();
+        let r = session(&wf, &prof, cfg, Hold, 1).run().unwrap();
         assert_eq!(r.makespan, Millis::from_mins(2)); // 8 tasks / 4 slots
         assert_eq!(r.charging_units, 4);
         assert_eq!(r.peak_instances, 4);
@@ -2225,7 +2170,7 @@ mod tests {
             slots_per_instance: 4,
             ..base_config()
         };
-        let r = run_workflow(&wf, &prof, cfg, TransferModel::none(), Hold, 1).unwrap();
+        let r = session(&wf, &prof, cfg, Hold, 1).run().unwrap();
         assert_eq!(r.makespan, Millis::from_mins(1));
         assert_eq!(r.charging_units, 1);
     }
@@ -2254,7 +2199,7 @@ mod tests {
                 }
             }
         }
-        let r = run_workflow(&wf, &prof, cfg, TransferModel::none(), Replenish(4), 9).unwrap();
+        let r = session(&wf, &prof, cfg, Replenish(4), 9).run().unwrap();
         assert_eq!(r.task_records.len(), 20);
         assert!(r.failures > 0, "expected at least one injected failure");
         assert_eq!(
@@ -2269,7 +2214,7 @@ mod tests {
     #[test]
     fn zero_mtbf_means_no_failures() {
         let (wf, prof) = fanout(8, 60);
-        let r = run_workflow(&wf, &prof, base_config(), TransferModel::none(), Hold, 9).unwrap();
+        let r = session(&wf, &prof, base_config(), Hold, 9).run().unwrap();
         assert_eq!(r.failures, 0);
     }
 
@@ -2296,16 +2241,10 @@ mod tests {
                 }
             }
         }
-        let a = run_workflow(
-            &wf,
-            &prof,
-            cfg.clone(),
-            TransferModel::none(),
-            Replenish(4),
-            9,
-        )
-        .unwrap();
-        let b = run_workflow(&wf, &prof, cfg, TransferModel::none(), Replenish(4), 9).unwrap();
+        let a = session(&wf, &prof, cfg.clone(), Replenish(4), 9)
+            .run()
+            .unwrap();
+        let b = session(&wf, &prof, cfg, Replenish(4), 9).run().unwrap();
         assert_eq!(a.failures, b.failures);
         assert_eq!(a.makespan, b.makespan);
     }
@@ -2318,7 +2257,7 @@ mod tests {
             run_teardown: Millis::from_mins(2),
             ..base_config()
         };
-        let r = run_workflow(&wf, &prof, cfg, TransferModel::none(), Hold, 1).unwrap();
+        let r = session(&wf, &prof, cfg, Hold, 1).run().unwrap();
         // 4 min setup + 1 min task + 2 min teardown
         assert_eq!(r.makespan, Millis::from_mins(7));
         // the instance is billed through the whole run (7 min < 15-min unit)
@@ -2330,7 +2269,7 @@ mod tests {
     #[test]
     fn billing_counts_started_units() {
         let (wf, prof) = chain(1, 16 * 60); // 16 min task, u = 15 min
-        let r = run_workflow(&wf, &prof, base_config(), TransferModel::none(), Hold, 1).unwrap();
+        let r = session(&wf, &prof, base_config(), Hold, 1).run().unwrap();
         assert_eq!(r.charging_units, 2);
     }
 
@@ -2353,17 +2292,9 @@ mod tests {
     #[test]
     fn launch_takes_one_lag() {
         let (wf, prof) = fanout(2, 600); // two 10-min tasks
-        let (r, trace) = Engine::new(
-            &wf,
-            &prof,
-            base_config(),
-            TransferModel::none(),
-            LaunchOnce(1, false),
-            1,
-        )
-        .unwrap()
-        .run_traced()
-        .unwrap();
+        let (r, trace) = session(&wf, &prof, base_config(), LaunchOnce(1, false), 1)
+            .run_traced()
+            .unwrap();
         // t0 runs at 0 on i0. First tick at 3 min launches i1, ready at 6 min;
         // t1 runs 6..16 min.
         assert_eq!(r.makespan, Millis::from_mins(16));
@@ -2382,15 +2313,9 @@ mod tests {
             site_capacity: 3,
             ..base_config()
         };
-        let r = run_workflow(
-            &wf,
-            &prof,
-            cfg,
-            TransferModel::none(),
-            LaunchOnce(100, false),
-            1,
-        )
-        .unwrap();
+        let r = session(&wf, &prof, cfg, LaunchOnce(100, false), 1)
+            .run()
+            .unwrap();
         assert_eq!(r.instances_launched, 3);
         assert!(r.peak_instances <= 3);
     }
@@ -2418,14 +2343,14 @@ mod tests {
     #[test]
     fn immediate_termination_resubmits_running_task() {
         let (wf, prof) = chain(1, 600); // one 10-min task
-        let r = run_workflow(
+        let r = session(
             &wf,
             &prof,
             base_config(),
-            TransferModel::none(),
             KillFirst(false, TerminateWhen::Now),
             1,
         )
+        .run()
         .unwrap();
         // killed at 3 min (sunk), replacement ready at 6 min, runs 10 min
         assert_eq!(r.makespan, Millis::from_mins(16));
@@ -2440,15 +2365,13 @@ mod tests {
     #[test]
     fn boundary_termination_drains_until_charge_expires() {
         let (wf, prof) = chain(1, 20 * 60); // 20-min task, u = 15 min
-        let (r, trace) = Engine::new(
+        let (r, trace) = session(
             &wf,
             &prof,
             base_config(),
-            TransferModel::none(),
             KillFirst(false, TerminateWhen::AtChargeBoundary),
             1,
         )
-        .unwrap()
         .run_traced()
         .unwrap();
         // i0 drains at the 15-min boundary; task (sunk 15 min) resubmits to
@@ -2482,8 +2405,9 @@ mod tests {
             }
         }
         let (wf, prof) = chain(2, 600);
-        let err =
-            run_workflow(&wf, &prof, base_config(), TransferModel::none(), Bad, 1).unwrap_err();
+        let err = session(&wf, &prof, base_config(), Bad, 1)
+            .run()
+            .unwrap_err();
         assert!(matches!(err, RunError::InvalidPlan(_)));
     }
 
@@ -2495,7 +2419,7 @@ mod tests {
             max_sim_time: Millis::from_hours(1),
             ..base_config()
         };
-        let err = run_workflow(&wf, &prof, cfg, TransferModel::none(), Hold, 1).unwrap_err();
+        let err = session(&wf, &prof, cfg, Hold, 1).run().unwrap_err();
         assert!(matches!(
             err,
             RunError::TimeLimit {
@@ -2518,13 +2442,22 @@ mod tests {
             fixed_overhead: Millis::from_ms(100),
             jitter: 0.3,
         };
-        let a = run_workflow(&wf, &prof, cfg.clone(), tm.clone(), Hold, 42).unwrap();
-        let b = run_workflow(&wf, &prof, cfg.clone(), tm.clone(), Hold, 42).unwrap();
+        let a = session(&wf, &prof, cfg.clone(), Hold, 42)
+            .transfer(tm.clone())
+            .run()
+            .unwrap();
+        let b = session(&wf, &prof, cfg.clone(), Hold, 42)
+            .transfer(tm.clone())
+            .run()
+            .unwrap();
         assert_eq!(a.makespan, b.makespan);
         assert_eq!(a.charging_units, b.charging_units);
         assert_eq!(a.task_records, b.task_records);
         // different seed differs (jittered exec/transfers)
-        let c = run_workflow(&wf, &prof, cfg, tm, Hold, 43).unwrap();
+        let c = session(&wf, &prof, cfg, Hold, 43)
+            .transfer(tm)
+            .run()
+            .unwrap();
         assert_ne!(a.task_records, c.task_records);
     }
 
@@ -2540,7 +2473,10 @@ mod tests {
             fixed_overhead: Millis::ZERO,
             jitter: 0.0,
         };
-        let r = run_workflow(&wf, &prof, base_config(), tm, Hold, 1).unwrap();
+        let r = session(&wf, &prof, base_config(), Hold, 1)
+            .transfer(tm)
+            .run()
+            .unwrap();
         // 1 s in + 10 s exec + 1 s out
         assert_eq!(r.makespan, Millis::from_secs(12));
         let rec = r.task_records[0];
@@ -2582,7 +2518,7 @@ mod tests {
         let probe = Probe {
             saw: std::cell::Cell::new(false),
         };
-        let r = run_workflow(&wf, &prof, base_config(), TransferModel::none(), &probe, 1).unwrap();
+        let r = session(&wf, &prof, base_config(), &probe, 1).run().unwrap();
         assert!(probe.saw.get());
         assert!(r.mape_iterations >= 1);
     }
@@ -2610,7 +2546,7 @@ mod tests {
             mape_interval: Millis::from_mins(1),
             ..base_config()
         };
-        run_workflow(&wf, &prof, cfg, TransferModel::none(), &counter, 1).unwrap();
+        session(&wf, &prof, cfg, &counter, 1).run().unwrap();
         // the final completion may coincide with run end (no tick after), so
         // the policy sees at most all and at least all-but-the-last ones
         assert!(counter.total.get() >= 4, "saw {}", counter.total.get());
@@ -2619,15 +2555,9 @@ mod tests {
     #[test]
     fn pool_timeline_tracks_changes() {
         let (wf, prof) = fanout(2, 600);
-        let r = run_workflow(
-            &wf,
-            &prof,
-            base_config(),
-            TransferModel::none(),
-            LaunchOnce(1, false),
-            1,
-        )
-        .unwrap();
+        let r = session(&wf, &prof, base_config(), LaunchOnce(1, false), 1)
+            .run()
+            .unwrap();
         let sizes: Vec<u32> = r.pool_timeline.iter().map(|&(_, c)| c).collect();
         assert!(sizes.contains(&1) && sizes.contains(&2), "{sizes:?}");
     }

@@ -27,7 +27,7 @@
 //!
 //! The public entry point is the [`Session`] builder, which accepts one or
 //! many workflows with submission times and bills them against one shared
-//! pool; [`run_workflow`] remains as the single-workflow convenience wrapper.
+//! pool.
 
 pub mod chaos;
 pub mod config;
@@ -45,7 +45,7 @@ pub mod transfer;
 
 pub use chaos::{Fault, FaultAction, FaultPlan, FaultTrigger};
 pub use config::{BudgetConfig, CloudConfig};
-pub use engine::{run_workflow, run_workflow_recorded, Engine, RunError};
+pub use engine::{Engine, RunError};
 pub use family::{FamilyId, FamilySpec, MemoryProfile, SpotSpec};
 pub use instance::{InstanceId, InstanceStateView};
 pub use observe::{

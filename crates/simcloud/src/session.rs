@@ -70,8 +70,7 @@ impl ScalingPolicy for HoldPolicy {
 ///
 /// `policy` and `recording` change the builder's type parameters; every
 /// other method returns `Self`. Workflows are numbered in submission-time
-/// order (ties keep submit-call order), and a session with a single
-/// `submit` is decision-identical to [`crate::run_workflow`].
+/// order (ties keep submit-call order).
 pub struct Session<'a, P: ScalingPolicy = HoldPolicy, R: Recorder = NoopRecorder> {
     config: CloudConfig,
     transfer: TransferModel,
@@ -122,14 +121,6 @@ impl<'a, P: ScalingPolicy, R: Recorder> Session<'a, P, R> {
     /// byte.
     pub fn scheduler(mut self, spec: SchedulerSpec) -> Self {
         self.config.scheduler = spec;
-        self
-    }
-
-    /// Deprecated shim for the pre-[`SchedulerSpec`] API: toggles between
-    /// the boosted and plain FIFO schedulers.
-    #[deprecated(since = "0.8.0", note = "use `.scheduler(SchedulerSpec::...)` instead")]
-    pub fn first_five_priority(mut self, on: bool) -> Self {
-        self.config.scheduler = SchedulerSpec::Fifo { first_five: on };
         self
     }
 
@@ -284,11 +275,10 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn scheduler_builder_and_shim_set_config() {
+    fn scheduler_builder_sets_config() {
         let s = Session::new(cfg()).scheduler(SchedulerSpec::Heft);
         assert_eq!(s.config.scheduler, SchedulerSpec::Heft);
-        let s = s.first_five_priority(false);
+        let s = s.scheduler(SchedulerSpec::plain_fifo());
         assert_eq!(s.config.scheduler, SchedulerSpec::plain_fifo());
     }
 
@@ -313,38 +303,18 @@ mod tests {
     }
 
     #[test]
-    fn single_submission_matches_run_workflow() {
+    fn single_submission_reports_one_workflow() {
         let (wf, prof) = fanout("f", 6, 120);
-        let direct =
-            crate::run_workflow(&wf, &prof, cfg(), TransferModel::none(), HoldPolicy, 7).unwrap();
-        let via_session = Session::new(cfg())
+        let r = Session::new(cfg())
             .transfer(TransferModel::none())
             .seed(7)
             .submit(&wf, &prof)
             .run()
             .unwrap();
-        assert_eq!(direct.makespan, via_session.makespan);
-        assert_eq!(direct.charging_units, via_session.charging_units);
-        assert_eq!(direct.task_records, via_session.task_records);
-        assert_eq!(via_session.per_workflow.len(), 1);
-        assert_eq!(via_session.per_workflow[0].makespan, via_session.makespan);
-        assert_eq!(via_session.workflow, "f");
-    }
-
-    #[test]
-    fn single_submission_trace_matches_run_workflow_trace() {
-        let (wf, prof) = fanout("f", 6, 120);
-        let (_, t1) = Engine::new(&wf, &prof, cfg(), TransferModel::none(), HoldPolicy, 7)
-            .unwrap()
-            .run_traced()
-            .unwrap();
-        let (_, t2) = Session::new(cfg())
-            .transfer(TransferModel::none())
-            .seed(7)
-            .submit(&wf, &prof)
-            .run_traced()
-            .unwrap();
-        assert_eq!(t1.render(), t2.render());
+        assert_eq!(r.task_records.len(), 6);
+        assert_eq!(r.per_workflow.len(), 1);
+        assert_eq!(r.per_workflow[0].makespan, r.makespan);
+        assert_eq!(r.workflow, "f");
     }
 
     #[test]

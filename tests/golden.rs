@@ -233,44 +233,6 @@ fn infinite_budget_equals_unconstrained_field_for_field() {
 }
 
 #[test]
-fn golden_session_n1_matches_run_workflow_exactly() {
-    // The deprecated single-workflow wrapper and a one-submission Session
-    // must be decision-identical: same RNG draws, same event order, same
-    // bill, for every pinned golden cell.
-    for &(w, s, u, seed, _, _) in GOLDEN {
-        let (wf, prof) = w.generate(seed);
-        let cfg = cloud_config_for(s, Millis::from_mins(u), w.spec().total_input_bytes);
-        let legacy = run_workflow(
-            &wf,
-            &prof,
-            cfg.clone(),
-            TransferModel::default(),
-            wire::core::experiment::build_policy(s, &cfg),
-            seed,
-        )
-        .unwrap();
-        let session = Session::new(cfg.clone())
-            .policy(wire::core::experiment::build_policy(s, &cfg))
-            .seed(seed)
-            .submit(&wf, &prof)
-            .run()
-            .unwrap();
-        let cell = format!("{} / {}", w.name(), s.label());
-        assert_eq!(legacy.charging_units, session.charging_units, "{cell}");
-        assert_eq!(legacy.makespan, session.makespan, "{cell}");
-        assert_eq!(legacy.restarts, session.restarts, "{cell}");
-        assert_eq!(
-            legacy.instances_launched, session.instances_launched,
-            "{cell}"
-        );
-        assert_eq!(legacy.task_records, session.task_records, "{cell}");
-        assert_eq!(legacy.instance_bills, session.instance_bills, "{cell}");
-        assert_eq!(legacy.pool_timeline, session.pool_timeline, "{cell}");
-        assert_eq!(legacy.per_workflow, session.per_workflow, "{cell}");
-    }
-}
-
-#[test]
 fn golden_wire_beats_full_site_in_the_pinned_cell() {
     // derived sanity on the pinned values: 12× cost gap on TPCH-6 S at u=15
     let wire = GOLDEN[0];

@@ -15,8 +15,7 @@
 
 use std::path::PathBuf;
 
-use wire::core::experiment::{cloud_config, cloud_config_for, run_ensemble_obs, Setting};
-use wire::obs::ObsConfig;
+use wire::core::experiment::{cloud_config, cloud_config_for, Setting};
 use wire::prelude::*;
 use wire_campaign::{run_campaign, CacheMode, CampaignConfig, Cell};
 use wire_chaos::{InvariantChecker, Tee};
@@ -115,13 +114,18 @@ fn ensemble_populates_tenant_and_slowdown_aggregates() {
             gap: Millis::from_mins(8),
         },
     );
-    let (result, rec) = run_ensemble_obs(
-        &spec,
-        Setting::Wire,
-        Millis::from_mins(15),
-        7,
-        ObsConfig::default(),
-    );
+    let rec = StreamingRecorder::new();
+    let members = spec.generate(7);
+    let mut session = Session::new(cloud_config(Setting::Wire, Millis::from_mins(15)))
+        .transfer(TransferModel::default())
+        .policy(WirePolicy::default().with_obs(rec.clone()))
+        .seed(7)
+        .recording(rec.clone());
+    for m in &members {
+        session = session.submit_at(m.submit_at, &m.workflow, &m.profile);
+    }
+    let result = session.run().expect("ensemble completes");
+    rec.note_session(result.makespan.as_ms(), result.charging_units);
     assert_eq!(result.per_workflow.len(), 4);
     let snap = rec.snapshot();
     assert_eq!(snap.counter("workflow_submitted"), 4);

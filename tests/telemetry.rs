@@ -2,22 +2,42 @@
 //! Chrome trace, a decision journal that explains every pool change, a
 //! round-trippable JSONL event stream, and a per-tick metrics timeseries.
 
-use wire::core::experiment::{run_setting_telemetry, Setting};
+use wire::core::experiment::{cloud_config_for, run_setting, Setting};
 use wire::dag::Millis;
-use wire::simcloud::RunResult;
+use wire::planner::WirePolicy;
+use wire::simcloud::{RunResult, Session, TransferModel};
 use wire::telemetry::json::Json;
-use wire::telemetry::{export, json, DecisionAction, TelemetryBuffer, TelemetryEvent};
+use wire::telemetry::{
+    export, json, DecisionAction, TelemetryBuffer, TelemetryEvent, TelemetryHandle,
+};
 use wire::workloads::WorkloadId;
+
+/// `workload` under the WIRE setting at u = 15 min with full telemetry:
+/// engine events, per-tick metrics, the MAPE decision journal and the
+/// prediction-quality join all land in the returned buffer.
+fn record_wire(workload: WorkloadId, seed: u64) -> (RunResult, TelemetryBuffer) {
+    let (wf, prof) = workload.generate(seed);
+    let cfg = cloud_config_for(
+        Setting::Wire,
+        Millis::from_mins(15),
+        workload.spec().total_input_bytes,
+    );
+    let handle = TelemetryHandle::new();
+    let result = Session::new(cfg)
+        .transfer(TransferModel::default())
+        .policy(WirePolicy::default().with_telemetry(handle.clone()))
+        .seed(seed)
+        .recording(handle.clone())
+        .submit(&wf, &prof)
+        .run()
+        .expect("recorded run completes");
+    (result, handle.take())
+}
 
 /// A run that both grows and releases instances (epigenomics fans out to
 /// hundreds of short tasks, then narrows).
 fn recorded() -> (RunResult, TelemetryBuffer) {
-    run_setting_telemetry(
-        WorkloadId::EpigenomicsS,
-        Setting::Wire,
-        Millis::from_mins(15),
-        1,
-    )
+    record_wire(WorkloadId::EpigenomicsS, 1)
 }
 
 #[test]
@@ -142,7 +162,7 @@ fn metrics_csv_carries_prediction_quality_per_tick() {
 #[test]
 fn recording_does_not_change_the_simulation() {
     let (recorded_run, _) = recorded();
-    let plain = wire::core::experiment::run_setting(
+    let plain = run_setting(
         WorkloadId::EpigenomicsS,
         Setting::Wire,
         Millis::from_mins(15),
@@ -151,4 +171,19 @@ fn recording_does_not_change_the_simulation() {
     assert_eq!(plain.makespan, recorded_run.makespan);
     assert_eq!(plain.charging_units, recorded_run.charging_units);
     assert_eq!(plain.restarts, recorded_run.restarts);
+}
+
+#[test]
+fn telemetry_run_journals_every_tick_and_changes_nothing() {
+    let (r, buffer) = record_wire(WorkloadId::Tpch6S, 1);
+    assert_eq!(r.task_records.len(), 33);
+    assert!(!buffer.events.is_empty());
+    // one decision journal entry and one metrics row per MAPE tick
+    assert_eq!(buffer.decisions.len() as u64, r.mape_iterations);
+    assert_eq!(buffer.ticks.len() as u64, r.mape_iterations);
+    assert!(!buffer.quality.samples().is_empty());
+    // recording must not perturb the simulation
+    let plain = run_setting(WorkloadId::Tpch6S, Setting::Wire, Millis::from_mins(15), 1);
+    assert_eq!(plain.makespan, r.makespan);
+    assert_eq!(plain.charging_units, r.charging_units);
 }
