@@ -121,9 +121,10 @@ impl TrafficSpec {
         (0..self.per_tenant)
             .map(|i| {
                 if i > 0 {
-                    // 1 − u ∈ (0, 1] keeps ln() finite for u = 0
+                    // 1 − u ∈ (0, 1] keeps ln() finite for u = 0; a stream
+                    // too long for the clock saturates instead of wrapping
                     let u: f64 = rng.gen::<f64>();
-                    at += self.mean_gap.scale(-(1.0 - u).ln());
+                    at = at.saturating_add(self.mean_gap.scale(-(1.0 - u).ln()));
                 }
                 at
             })

@@ -73,6 +73,12 @@ impl Millis {
         self.0 == 0
     }
 
+    /// Saturating addition: time never wraps past [`Millis::MAX`].
+    #[inline]
+    pub const fn saturating_add(self, rhs: Millis) -> Millis {
+        Millis(self.0.saturating_add(rhs.0))
+    }
+
     /// Saturating subtraction: time never goes negative.
     #[inline]
     pub const fn saturating_sub(self, rhs: Millis) -> Millis {

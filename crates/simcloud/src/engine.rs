@@ -21,7 +21,6 @@ use crate::observe::{CompletionView, InstanceView, MonitorSnapshot, TaskView, Wo
 use crate::policy::{PoolPlan, ScalingPolicy, TerminateWhen};
 use crate::result::{InstanceBill, RunResult, TaskRecord, WorkflowOutcome};
 use crate::scheduler::{AnyScheduler, Scheduler};
-use crate::trace::{RunTrace, TraceEvent};
 use crate::transfer::TransferModel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -105,8 +104,8 @@ pub struct Engine<'a, P: ScalingPolicy, R: Recorder = NoopRecorder, S: Scheduler
     total_tasks: usize,
     /// Submissions that have arrived so far (always a prefix of `slots`).
     arrived: usize,
-    /// More than one submission? Workflow-lifecycle trace/telemetry events
-    /// are only emitted in multi-workflow sessions, keeping single-workflow
+    /// More than one submission? Workflow-lifecycle telemetry events are
+    /// only emitted in multi-workflow sessions, keeping single-workflow
     /// output byte-identical to the historical engine.
     multi: bool,
     config: CloudConfig,
@@ -227,8 +226,6 @@ pub struct Engine<'a, P: ScalingPolicy, R: Recorder = NoopRecorder, S: Scheduler
     /// summing the bill list.
     #[cfg(debug_assertions)]
     debug_billed: u64,
-
-    trace: Option<RunTrace>,
 }
 
 /// Period of the full O(tasks + instances + bills) debug invariant walk;
@@ -236,41 +233,6 @@ pub struct Engine<'a, P: ScalingPolicy, R: Recorder = NoopRecorder, S: Scheduler
 /// stay near-linear. The first event always gets a full walk.
 #[cfg(debug_assertions)]
 const DEBUG_FULL_CHECK_EVERY: u64 = 1024;
-
-/// Naive-core default for engines not built through [`crate::Session`]:
-/// `WIRE_NAIVE_CORE=1` flips every run in the process to the legacy heap +
-/// linear-scan core (read once; the Session builder overrides per session).
-fn naive_core_default() -> bool {
-    static NAIVE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *NAIVE.get_or_init(|| std::env::var("WIRE_NAIVE_CORE").is_ok_and(|v| v == "1"))
-}
-
-impl<'a, P: ScalingPolicy, R: Recorder> Engine<'a, P, R> {
-    /// Construct a multi-workflow engine from `(submitted_at, workflow,
-    /// profile)` triples; the [`crate::Session`] builder is the public face
-    /// of this constructor. The scheduler is built from
-    /// [`CloudConfig::scheduler`] behind the type-erased [`AnyScheduler`].
-    pub(crate) fn from_submissions(
-        submissions: Vec<(Millis, &'a Workflow, &'a ExecProfile)>,
-        config: CloudConfig,
-        transfer_model: TransferModel,
-        policy: P,
-        seed: u64,
-        recorder: R,
-    ) -> Result<Self, RunError> {
-        let spec = config.scheduler;
-        let cfg = config.clone();
-        Engine::from_submissions_with(
-            submissions,
-            config,
-            transfer_model,
-            policy,
-            seed,
-            recorder,
-            move |num_tasks, num_stages| spec.build(num_tasks, num_stages, &cfg),
-        )
-    }
-}
 
 impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
     /// Generic core constructor: builds a multi-workflow engine from
@@ -333,7 +295,6 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
             stage_base += wf.num_stages() as u32;
         }
         let n = task_base as usize;
-        let naive = naive_core_default();
         let families = config.resolved_families();
         let fam_multi = families.len() > 1;
         let mut ready = make_scheduler(n, stage_base as usize);
@@ -356,13 +317,9 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
             policy,
             recorder,
             rng: StdRng::seed_from_u64(seed),
-            naive,
+            naive: false,
             clock: Millis::ZERO,
-            queue: if naive {
-                EventQueue::legacy_heap()
-            } else {
-                EventQueue::new()
-            },
+            queue: EventQueue::new(),
             task_phase: vec![TaskPhase::Unready; n],
             task_unmet,
             task_run: vec![RunInfo::default(); n],
@@ -415,7 +372,6 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
             #[cfg(debug_assertions)]
             debug_billed: 0,
             config,
-            trace: None,
         })
     }
 
@@ -467,21 +423,6 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
 
     /// Run to completion.
     pub fn run(mut self) -> Result<RunResult, RunError> {
-        self.run_inner()?;
-        Ok(self.into_result())
-    }
-
-    /// Run to completion, returning the result together with the trace.
-    pub fn run_traced(mut self) -> Result<(RunResult, RunTrace), RunError> {
-        if self.trace.is_none() {
-            self.trace = Some(RunTrace::default());
-        }
-        self.run_inner()?;
-        let trace = self.trace.take().unwrap_or_default();
-        Ok((self.into_result(), trace))
-    }
-
-    fn run_inner(&mut self) -> Result<(), RunError> {
         // initial pool, ready at time zero (always the default family 0)
         for _ in 0..self.config.initial_instances {
             let id = self.new_instance(
@@ -490,7 +431,6 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
                 },
                 0,
             );
-            self.trace_push(TraceEvent::InstanceReady { instance: id });
             self.emit(TelemetryEvent::InstanceReady { instance: id.0 });
             self.schedule_failure(id);
             self.schedule_eviction(id);
@@ -560,7 +500,6 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
                         && self.instances[instance.index()].is_running()
                     {
                         self.failures += 1;
-                        self.trace_push(TraceEvent::InstanceFailed { instance });
                         self.emit(TelemetryEvent::InstanceFailed {
                             instance: instance.0,
                         });
@@ -575,7 +514,7 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
                             // serial epilogue: stage-out + registration
                             self.clock += self.config.run_teardown;
                             self.finish();
-                            return Ok(());
+                            return Ok(self.into_result());
                         }
                     }
                 }
@@ -587,7 +526,6 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
                         && self.instances[instance.index()].is_running()
                     {
                         self.evictions += 1;
-                        self.trace_push(TraceEvent::SpotEvicted { instance });
                         self.emit(TelemetryEvent::SpotEvicted {
                             instance: instance.0,
                         });
@@ -623,15 +561,11 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
         self.arrived += 1;
         if self.multi {
             let slot = &self.slots[sub];
-            let (id, tasks) = (slot.id, slot.num_tasks() as u32);
-            self.trace_push(TraceEvent::WorkflowSubmitted {
-                workflow: id,
-                tasks,
-            });
-            self.emit(TelemetryEvent::WorkflowSubmitted {
-                workflow: id.0,
-                tasks,
-            });
+            let ev = TelemetryEvent::WorkflowSubmitted {
+                workflow: slot.id.0,
+                tasks: slot.num_tasks() as u32,
+            };
+            self.emit(ev);
         }
         // roots become ready after the framework's serial setup phase
         // (stage-in, create-dir); with zero setup they are ready immediately
@@ -672,7 +606,6 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
         self.count_launching -= 1;
         self.count_running += 1;
         self.dispatchable.insert(id.0);
-        self.trace_push(TraceEvent::InstanceReady { instance: id });
         self.emit(TelemetryEvent::InstanceReady { instance: id.0 });
         self.schedule_failure(id);
         self.schedule_eviction(id);
@@ -783,7 +716,6 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
             .is_some_and(|inst| inst.is_running());
         if running {
             self.failures += 1;
-            self.trace_push(TraceEvent::InstanceFailed { instance: id });
             self.emit(TelemetryEvent::InstanceFailed { instance: id.0 });
             self.terminate_instance(id);
         }
@@ -851,7 +783,6 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
             },
         });
         self.interval_transfers.push(transfer);
-        self.trace_push(TraceEvent::TaskCompleted { task });
         self.emit(TelemetryEvent::TaskCompleted {
             task: task.index() as u32,
             stage: stage.0,
@@ -868,29 +799,20 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
             // pool; it delays this workflow's finish time, not the session
             let finished = self.clock + self.config.run_teardown;
             self.wf_finished[sub] = Some(finished);
-            if self.multi {
-                let slot_info = &self.slots[sub];
-                let (id, makespan) = (slot_info.id, finished - slot_info.submitted_at);
-                self.trace_push(TraceEvent::WorkflowCompleted {
-                    workflow: id,
-                    makespan,
-                });
-                if self.recorder.enabled() {
-                    // single-tenant lower bound, same formula as the
-                    // slowdown denominator in `into_result`; only computed
-                    // when a recorder is listening
-                    let ideal = self.config.run_setup
-                        + critical_path_ms(self.slots[sub].workflow, self.profiles[sub])
-                        + self.config.run_teardown;
-                    self.recorder.record(
-                        self.clock,
-                        TelemetryEvent::WorkflowCompleted {
-                            workflow: id.0,
-                            makespan,
-                            ideal,
-                        },
-                    );
-                }
+            if self.multi && self.recorder.enabled() {
+                // single-tenant lower bound, same formula as the slowdown
+                // denominator in `into_result`; only computed when a
+                // recorder is listening
+                let slot = &self.slots[sub];
+                let ideal = self.config.run_setup
+                    + critical_path_ms(slot.workflow, self.profiles[sub])
+                    + self.config.run_teardown;
+                let ev = TelemetryEvent::WorkflowCompleted {
+                    workflow: slot.id.0,
+                    makespan: finished - slot.submitted_at,
+                    ideal,
+                };
+                self.recorder.record(self.clock, ev);
             }
         }
 
@@ -944,14 +866,12 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
         self.mem_demand[task.index()] =
             self.mem_demand[task.index()].max(self.mem_peak[task.index()]);
         self.ready.push_resubmit(task);
-        self.trace_push(TraceEvent::TaskOom { task, sunk });
         self.emit(TelemetryEvent::TaskOom {
             task: task.index() as u32,
             instance: instance.0,
             demand_mb: self.mem_demand[task.index()],
             peak_mb: self.mem_peak[task.index()],
         });
-        self.trace_push(TraceEvent::TaskResubmitted { task, sunk });
         self.emit(TelemetryEvent::TaskResubmitted {
             task: task.index() as u32,
             instance: instance.0,
@@ -1047,11 +967,6 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
         self.new_completions.clear();
         self.interval_transfers.clear();
         self.interval_ooms = 0;
-        self.trace_push(TraceEvent::MapeTick {
-            pool: self.active_instances(),
-            launch: plan.total_launches(),
-            terminate: plan.terminate.len() as u32,
-        });
         if self.recorder.enabled() {
             // Pool breakdown from the incremental lifecycle counters; naive
             // mode recomputes it by scanning, as the pre-change engine did.
@@ -1156,10 +1071,6 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
                                 epoch,
                             },
                         );
-                        self.trace_push(TraceEvent::InstanceDraining {
-                            instance: id,
-                            until: boundary,
-                        });
                         self.emit(TelemetryEvent::InstanceDraining {
                             instance: id.0,
                             until: boundary,
@@ -1197,7 +1108,6 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
             let id = self.new_instance(InstanceState::Launching { ready_at }, family);
             self.queue
                 .push(ready_at, EventKind::InstanceReady { instance: id });
-            self.trace_push(TraceEvent::InstanceRequested { instance: id });
             self.emit(TelemetryEvent::InstanceRequested { instance: id.0 });
         }
         Ok(())
@@ -1256,10 +1166,6 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
             released_at: self.clock,
             units,
         });
-        self.trace_push(TraceEvent::InstanceTerminated {
-            instance: id,
-            units,
-        });
         self.emit(TelemetryEvent::InstanceTerminated {
             instance: id.0,
             units,
@@ -1288,7 +1194,6 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
             self.tasks_running -= 1;
             self.ready_at[task.index()] = self.clock;
             self.ready.push_resubmit(task);
-            self.trace_push(TraceEvent::TaskResubmitted { task, sunk });
             self.emit(TelemetryEvent::TaskResubmitted {
                 task: task.index() as u32,
                 instance: id.0,
@@ -1469,7 +1374,6 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
                 );
             }
         }
-        self.trace_push(TraceEvent::TaskDispatched { task, instance });
         self.emit(TelemetryEvent::TaskDispatched {
             task: task.index() as u32,
             stage: stage.0,
@@ -1586,7 +1490,6 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
 
     /// Workflow complete: bill every remaining instance up to `clock`.
     fn finish(&mut self) {
-        self.trace_push(TraceEvent::WorkflowDone);
         self.emit(TelemetryEvent::WorkflowDone);
         for i in 0..self.instances.len() {
             let inst = &mut self.instances[i];
@@ -1809,12 +1712,6 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
         // per-instance bills sum to the total billed so far (old derivation)
         let billed: u64 = self.instance_bills.iter().map(|b| b.units).sum();
         debug_assert_eq!(billed, self.units_total, "billing drift");
-    }
-
-    fn trace_push(&mut self, ev: TraceEvent) {
-        if let Some(tr) = &mut self.trace {
-            tr.push(self.clock, ev);
-        }
     }
 
     /// Forward an event to the telemetry recorder at the current simulated
@@ -2058,6 +1955,7 @@ mod tests {
     use super::*;
     use crate::Session;
     use wire_dag::WorkflowBuilder;
+    use wire_telemetry::TelemetryHandle;
 
     /// Keeps the initial pool forever.
     struct Hold;
@@ -2292,15 +2190,20 @@ mod tests {
     #[test]
     fn launch_takes_one_lag() {
         let (wf, prof) = fanout(2, 600); // two 10-min tasks
-        let (r, trace) = session(&wf, &prof, base_config(), LaunchOnce(1, false), 1)
-            .run_traced()
+        let handle = TelemetryHandle::new();
+        let r = session(&wf, &prof, base_config(), LaunchOnce(1, false), 1)
+            .recording(handle.clone())
+            .run()
             .unwrap();
         // t0 runs at 0 on i0. First tick at 3 min launches i1, ready at 6 min;
         // t1 runs 6..16 min.
         assert_eq!(r.makespan, Millis::from_mins(16));
         assert_eq!(r.instances_launched, 2);
-        let ready_times: Vec<Millis> = trace
-            .filter(|e| matches!(e, TraceEvent::InstanceReady { .. }))
+        let ready_times: Vec<Millis> = handle
+            .take()
+            .events
+            .iter()
+            .filter(|(_, e)| matches!(e, TelemetryEvent::InstanceReady { .. }))
             .map(|&(t, _)| t)
             .collect();
         assert_eq!(ready_times, vec![Millis::ZERO, Millis::from_mins(6)]);
@@ -2365,22 +2268,27 @@ mod tests {
     #[test]
     fn boundary_termination_drains_until_charge_expires() {
         let (wf, prof) = chain(1, 20 * 60); // 20-min task, u = 15 min
-        let (r, trace) = session(
+        let handle = TelemetryHandle::new();
+        let r = session(
             &wf,
             &prof,
             base_config(),
             KillFirst(false, TerminateWhen::AtChargeBoundary),
             1,
         )
-        .run_traced()
+        .recording(handle.clone())
+        .run()
         .unwrap();
         // i0 drains at the 15-min boundary; task (sunk 15 min) resubmits to
         // i1 (ready at 6 min, idle) and runs 15..35 min.
         assert_eq!(r.makespan, Millis::from_mins(35));
         assert_eq!(r.restarts, 1);
         assert_eq!(r.wasted_slot_time, Millis::from_mins(15));
-        let term_times: Vec<Millis> = trace
-            .filter(|e| matches!(e, TraceEvent::InstanceTerminated { .. }))
+        let term_times: Vec<Millis> = handle
+            .take()
+            .events
+            .iter()
+            .filter(|(_, e)| matches!(e, TelemetryEvent::InstanceTerminated { .. }))
             .map(|&(t, _)| t)
             .collect();
         assert_eq!(term_times[0], Millis::from_mins(15));

@@ -15,7 +15,7 @@
 //! * [`EventQueue::legacy_heap`] — the original
 //!   `BinaryHeap<Reverse<(Millis, seq, kind)>>`, kept as the differential
 //!   baseline and as the queue behind the engine's naive mode
-//!   (`WIRE_NAIVE_CORE=1`).
+//!   (`Session::naive_core(true)`).
 //!
 //! ## Ordering contract
 //!

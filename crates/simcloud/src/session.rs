@@ -34,7 +34,6 @@ use crate::observe::MonitorSnapshot;
 use crate::policy::{PoolPlan, ScalingPolicy};
 use crate::result::RunResult;
 use crate::scheduler::SchedulerSpec;
-use crate::trace::RunTrace;
 use crate::transfer::TransferModel;
 use wire_dag::{ExecProfile, Millis, Workflow};
 use wire_telemetry::{NoopRecorder, Recorder};
@@ -79,7 +78,7 @@ pub struct Session<'a, P: ScalingPolicy = HoldPolicy, R: Recorder = NoopRecorder
     seed: u64,
     submissions: Vec<(Millis, &'a Workflow, &'a ExecProfile)>,
     chaos: FaultPlan,
-    naive: Option<bool>,
+    naive: bool,
     memory: Option<MemoryProfile>,
 }
 
@@ -96,7 +95,7 @@ impl<'a> Session<'a> {
             seed: 0,
             submissions: Vec::new(),
             chaos: FaultPlan::new(),
-            naive: None,
+            naive: false,
             memory: None,
         }
     }
@@ -184,9 +183,9 @@ impl<'a, P: ScalingPolicy, R: Recorder> Session<'a, P, R> {
     /// The naive core uses the legacy binary-heap event queue and full
     /// linear scans; it must produce byte-identical results and exists as
     /// the honest baseline for throughput benchmarks. Defaults to the
-    /// process-wide `WIRE_NAIVE_CORE` environment switch.
+    /// indexed core.
     pub fn naive_core(mut self, naive: bool) -> Self {
-        self.naive = Some(naive);
+        self.naive = naive;
         self
     }
 
@@ -201,19 +200,23 @@ impl<'a, P: ScalingPolicy, R: Recorder> Session<'a, P, R> {
         self
     }
 
-    /// Construct the engine without running it (to call `run_traced`, or to
-    /// inspect construction errors separately).
+    /// Construct the engine without running it (to inspect construction
+    /// errors separately from run errors), its scheduler built from
+    /// [`CloudConfig::scheduler`] behind the type-erased
+    /// [`crate::AnyScheduler`].
     pub fn build(self) -> Result<Engine<'a, P, R>, RunError> {
-        let mut engine = Engine::from_submissions(
+        let (spec, cfg) = (self.config.scheduler, self.config.clone());
+        let mut engine = Engine::from_submissions_with(
             self.submissions,
             self.config,
             self.transfer,
             self.policy,
             self.seed,
             self.recorder,
+            move |num_tasks, num_stages| spec.build(num_tasks, num_stages, &cfg),
         )?;
-        if let Some(naive) = self.naive {
-            engine.naive_core(naive);
+        if self.naive {
+            engine.naive_core(true);
         }
         if let Some(memory) = &self.memory {
             engine = engine.with_memory(memory)?;
@@ -228,11 +231,6 @@ impl<'a, P: ScalingPolicy, R: Recorder> Session<'a, P, R> {
     /// Run the session to completion.
     pub fn run(self) -> Result<RunResult, RunError> {
         self.build()?.run()
-    }
-
-    /// Run the session to completion, returning the result with the trace.
-    pub fn run_traced(self) -> Result<(RunResult, RunTrace), RunError> {
-        self.build()?.run_traced()
     }
 }
 
@@ -449,40 +447,31 @@ mod tests {
 
     #[test]
     fn multi_trace_carries_workflow_lifecycle_events() {
-        use crate::trace::TraceEvent;
+        use wire_telemetry::TelemetryHandle;
         let (wa, pa) = fanout("a", 2, 60);
         let (wb, pb) = fanout("b", 2, 60);
-        let (_, trace) = Session::new(cfg())
+        let count = |handle: &TelemetryHandle, kind: &str| {
+            handle.with(|b| b.events.iter().filter(|(_, e)| e.kind() == kind).count())
+        };
+        let multi = TelemetryHandle::new();
+        Session::new(cfg())
             .transfer(TransferModel::none())
+            .recording(multi.clone())
             .submit(&wa, &pa)
             .submit_at(Millis::from_mins(1), &wb, &pb)
-            .run_traced()
+            .run()
             .unwrap();
-        assert_eq!(
-            trace
-                .filter(|e| matches!(e, TraceEvent::WorkflowSubmitted { .. }))
-                .count(),
-            2
-        );
-        assert_eq!(
-            trace
-                .filter(|e| matches!(e, TraceEvent::WorkflowCompleted { .. }))
-                .count(),
-            2
-        );
-        // single-workflow traces stay free of lifecycle events
-        let (_, solo) = Session::new(cfg())
+        assert_eq!(count(&multi, "workflow_submitted"), 2);
+        assert_eq!(count(&multi, "workflow_completed"), 2);
+        // single-workflow streams stay free of lifecycle events
+        let solo = TelemetryHandle::new();
+        Session::new(cfg())
             .transfer(TransferModel::none())
+            .recording(solo.clone())
             .submit(&wa, &pa)
-            .run_traced()
+            .run()
             .unwrap();
-        assert_eq!(
-            solo.filter(|e| matches!(
-                e,
-                TraceEvent::WorkflowSubmitted { .. } | TraceEvent::WorkflowCompleted { .. }
-            ))
-            .count(),
-            0
-        );
+        assert_eq!(count(&solo, "workflow_submitted"), 0);
+        assert_eq!(count(&solo, "workflow_completed"), 0);
     }
 }

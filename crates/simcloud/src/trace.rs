@@ -1,11 +1,16 @@
-//! Optional run tracing for debugging, examples and utilization plots.
+//! Human-readable run traces, projected from the telemetry event stream.
+//!
+//! The engine has one emission path, the [`TelemetryEvent`] stream. A
+//! [`RunTrace`] is rebuilt from a recorded stream after the run by
+//! [`RunTrace::from_events`]; it exists for debugging, examples, utilization
+//! plots and `wire run --trace-out`.
 
 use crate::instance::InstanceId;
-use serde::{Deserialize, Serialize};
 use wire_dag::{Millis, TaskId, WorkflowId};
+use wire_telemetry::TelemetryEvent;
 
-/// One traced engine event.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// One trace row; its `Debug` form is what [`RunTrace::render`] prints.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceEvent {
     InstanceRequested {
         instance: InstanceId,
@@ -41,26 +46,21 @@ pub enum TraceEvent {
         terminate: u32,
     },
     WorkflowDone,
-    /// A workflow arrived in a multi-workflow session (never traced for
-    /// single-workflow runs, keeping their traces byte-identical to the
-    /// pre-session engine).
+    /// Multi-workflow sessions only, like the telemetry it projects.
     WorkflowSubmitted {
         workflow: WorkflowId,
         tasks: u32,
     },
-    /// A workflow of a multi-workflow session completed (including its
-    /// teardown epilogue); the session keeps running.
+    /// Multi-workflow sessions only; `makespan` includes the teardown.
     WorkflowCompleted {
         workflow: WorkflowId,
         makespan: Millis,
     },
-    /// The provider reclaimed a spot instance (never traced on on-demand
-    /// runs, keeping their traces byte-identical).
+    /// Never present on on-demand-only runs.
     SpotEvicted {
         instance: InstanceId,
     },
-    /// A task was OOM-killed on an oversubscribed instance (never traced
-    /// without a memory profile).
+    /// Never present without a memory profile.
     TaskOom {
         task: TaskId,
         sunk: Millis,
@@ -68,22 +68,111 @@ pub enum TraceEvent {
 }
 
 /// Time-ordered event trace of a run.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RunTrace {
     pub events: Vec<(Millis, TraceEvent)>,
 }
 
 impl RunTrace {
-    pub fn push(&mut self, at: Millis, ev: TraceEvent) {
-        self.events.push((at, ev));
-    }
-
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+    /// Project a recorded telemetry stream (e.g. a `TelemetryHandle`'s
+    /// buffer) onto trace rows:
+    ///
+    /// * lifecycle kinds map one-to-one, raw ids wrapped in their newtypes;
+    /// * a tick's `pool` counts every live instance (running + launching +
+    ///   draining), and `launch`/`terminate` are the plan's sizes;
+    /// * `TaskOom` takes its `sunk` time from the `TaskResubmitted` the
+    ///   engine emits right after it;
+    /// * the trace ends at `WorkflowDone` (the teardown bills that follow
+    ///   are not trace rows), and telemetry-only kinds are skipped.
+    pub fn from_events(events: &[(Millis, TelemetryEvent)]) -> RunTrace {
+        let mut rows = Vec::with_capacity(events.len());
+        for (i, &(at, ev)) in events.iter().enumerate() {
+            let row = match ev {
+                TelemetryEvent::InstanceRequested { instance } => TraceEvent::InstanceRequested {
+                    instance: InstanceId(instance),
+                },
+                TelemetryEvent::InstanceReady { instance } => TraceEvent::InstanceReady {
+                    instance: InstanceId(instance),
+                },
+                TelemetryEvent::InstanceDraining { instance, until } => {
+                    TraceEvent::InstanceDraining {
+                        instance: InstanceId(instance),
+                        until,
+                    }
+                }
+                TelemetryEvent::InstanceTerminated { instance, units } => {
+                    TraceEvent::InstanceTerminated {
+                        instance: InstanceId(instance),
+                        units,
+                    }
+                }
+                TelemetryEvent::InstanceFailed { instance } => TraceEvent::InstanceFailed {
+                    instance: InstanceId(instance),
+                },
+                TelemetryEvent::SpotEvicted { instance } => TraceEvent::SpotEvicted {
+                    instance: InstanceId(instance),
+                },
+                TelemetryEvent::TaskDispatched { task, instance, .. } => {
+                    TraceEvent::TaskDispatched {
+                        task: TaskId(task),
+                        instance: InstanceId(instance),
+                    }
+                }
+                TelemetryEvent::TaskCompleted { task, .. } => {
+                    TraceEvent::TaskCompleted { task: TaskId(task) }
+                }
+                TelemetryEvent::TaskResubmitted { task, sunk, .. } => TraceEvent::TaskResubmitted {
+                    task: TaskId(task),
+                    sunk,
+                },
+                TelemetryEvent::TaskOom { task, .. } => {
+                    // the kill's own TaskResubmitted follows at once
+                    let sunk = match events.get(i + 1) {
+                        Some(&(_, TelemetryEvent::TaskResubmitted { sunk, .. })) => sunk,
+                        _ => Millis::ZERO,
+                    };
+                    TraceEvent::TaskOom {
+                        task: TaskId(task),
+                        sunk,
+                    }
+                }
+                TelemetryEvent::MapeTick {
+                    pool,
+                    launching,
+                    draining,
+                    plan_launch,
+                    plan_terminate,
+                    ..
+                } => TraceEvent::MapeTick {
+                    pool: pool + launching + draining,
+                    launch: plan_launch,
+                    terminate: plan_terminate,
+                },
+                TelemetryEvent::WorkflowSubmitted { workflow, tasks } => {
+                    TraceEvent::WorkflowSubmitted {
+                        workflow: WorkflowId(workflow),
+                        tasks,
+                    }
+                }
+                TelemetryEvent::WorkflowCompleted {
+                    workflow, makespan, ..
+                } => TraceEvent::WorkflowCompleted {
+                    workflow: WorkflowId(workflow),
+                    makespan,
+                },
+                TelemetryEvent::WorkflowDone => {
+                    rows.push((at, TraceEvent::WorkflowDone));
+                    break;
+                }
+                TelemetryEvent::RunSetupDone
+                | TelemetryEvent::WorkflowReady { .. }
+                | TelemetryEvent::ChaosFault { .. }
+                | TelemetryEvent::InstanceFamilyAssigned { .. }
+                | TelemetryEvent::BudgetVerdict { .. } => continue,
+            };
+            rows.push((at, row));
+        }
+        RunTrace { events: rows }
     }
 
     /// Render a human-readable log (for examples / debugging).
@@ -145,14 +234,6 @@ impl RunTrace {
         }
         out
     }
-
-    /// Events of one kind matching a predicate, with their times.
-    pub fn filter<'a, F: Fn(&TraceEvent) -> bool + 'a>(
-        &'a self,
-        pred: F,
-    ) -> impl Iterator<Item = &'a (Millis, TraceEvent)> + 'a {
-        self.events.iter().filter(move |(_, e)| pred(e))
-    }
 }
 
 #[cfg(test)]
@@ -161,24 +242,89 @@ mod tests {
 
     #[test]
     fn trace_accumulates_in_order() {
-        let mut tr = RunTrace::default();
-        assert!(tr.is_empty());
-        tr.push(
-            Millis::from_secs(1),
-            TraceEvent::InstanceRequested {
-                instance: InstanceId(0),
-            },
-        );
-        tr.push(Millis::from_secs(2), TraceEvent::WorkflowDone);
-        assert_eq!(tr.len(), 2);
+        let s = Millis::from_secs;
+        let tr = RunTrace::from_events(&[
+            (s(0), TelemetryEvent::RunSetupDone),
+            (s(1), TelemetryEvent::InstanceRequested { instance: 0 }),
+            (
+                s(2),
+                TelemetryEvent::MapeTick {
+                    pool: 1,
+                    launching: 2,
+                    draining: 3,
+                    ready: 9,
+                    running: 9,
+                    done: 9,
+                    plan_launch: 4,
+                    plan_terminate: 5,
+                },
+            ),
+            (
+                s(3),
+                TelemetryEvent::TaskOom {
+                    task: 7,
+                    instance: 0,
+                    demand_mb: 1,
+                    peak_mb: 2,
+                },
+            ),
+            (
+                s(3),
+                TelemetryEvent::TaskResubmitted {
+                    task: 7,
+                    instance: 0,
+                    slot: 0,
+                    sunk: s(6),
+                },
+            ),
+            (s(4), TelemetryEvent::WorkflowDone),
+            (
+                s(4),
+                TelemetryEvent::InstanceTerminated {
+                    instance: 0,
+                    units: 1,
+                },
+            ),
+        ]);
         assert_eq!(
-            tr.filter(|e| matches!(e, TraceEvent::WorkflowDone)).count(),
-            1
+            tr.events,
+            vec![
+                (
+                    s(1),
+                    TraceEvent::InstanceRequested {
+                        instance: InstanceId(0)
+                    }
+                ),
+                (
+                    s(2),
+                    TraceEvent::MapeTick {
+                        pool: 6,
+                        launch: 4,
+                        terminate: 5
+                    }
+                ),
+                (
+                    s(3),
+                    TraceEvent::TaskOom {
+                        task: TaskId(7),
+                        sunk: s(6)
+                    }
+                ),
+                (
+                    s(3),
+                    TraceEvent::TaskResubmitted {
+                        task: TaskId(7),
+                        sunk: s(6)
+                    }
+                ),
+                (s(4), TraceEvent::WorkflowDone),
+            ]
         );
         assert!(tr.render().contains("WorkflowDone"));
         let csv = tr.to_csv();
         assert!(csv.starts_with("time_ms,kind,detail"));
         assert!(csv.contains("instance_requested,i0"));
+        assert!(csv.contains("mape_tick,pool=6 launch=4 terminate=5"));
         assert!(csv.contains("workflow_done"));
     }
 }

@@ -63,7 +63,25 @@ struct Opts {
 impl Opts {
     /// Any flag that needs the telemetry recorder attached to the run.
     fn wants_telemetry(&self) -> bool {
-        self.trace_chrome.is_some() || self.decisions.is_some() || self.metrics_csv.is_some()
+        self.trace_out.is_some()
+            || self.trace_chrome.is_some()
+            || self.decisions.is_some()
+            || self.metrics_csv.is_some()
+    }
+
+    /// These options for one row of a `compare`/`sweep` table: no timeline
+    /// and no per-run output files.
+    fn for_table(&self) -> Opts {
+        Opts {
+            policy: self.policy.clone(),
+            timeline: false,
+            trace_out: None,
+            trace_chrome: None,
+            decisions: None,
+            metrics_csv: None,
+            families: self.families.clone(),
+            ..*self
+        }
     }
 }
 
@@ -98,13 +116,7 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
                     )
                 })?);
             }
-            "--u" => {
-                o.u_mins = it
-                    .next()
-                    .ok_or("--u needs minutes")?
-                    .parse()
-                    .map_err(|e| format!("--u: {e}"))?;
-            }
+            "--u" => o.u_mins = parse_mins("--u", it.next())?,
             "--seed" => {
                 o.seed = it
                     .next()
@@ -153,18 +165,24 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
                 }
                 o.budget_milli = Some(milli);
             }
-            "--deadline" => {
-                o.deadline_mins = Some(
-                    it.next()
-                        .ok_or("--deadline needs minutes")?
-                        .parse()
-                        .map_err(|e| format!("--deadline: {e}"))?,
-                );
-            }
+            "--deadline" => o.deadline_mins = Some(parse_mins("--deadline", it.next())?),
             other => return Err(format!("unknown option '{other}'")),
         }
     }
     Ok(o)
+}
+
+/// Parse a `flag`'s minute count, rejecting values the millisecond clock
+/// cannot hold.
+fn parse_mins(flag: &str, value: Option<&String>) -> Result<u64, String> {
+    let mins: u64 = value
+        .ok_or(format!("{flag} needs minutes"))?
+        .parse()
+        .map_err(|e| format!("{flag}: {e}"))?;
+    mins.checked_mul(60_000).ok_or(format!(
+        "{flag}: {mins} minutes overflow the millisecond clock"
+    ))?;
+    Ok(mins)
 }
 
 fn find_spec(name: &str) -> Option<wire::workloads::WorkloadSpec> {
@@ -254,27 +272,19 @@ fn run_one(
         .policy(policy)
         .seed(opts.seed)
         .submit(wf, prof);
-    let result = if let Some(handle) = &telemetry {
-        let session = session.recording(handle.clone());
-        if let Some(path) = &opts.trace_out {
-            let (result, trace) = session.run_traced().map_err(|e| e.to_string())?;
-            std::fs::write(path, trace.to_csv()).map_err(|e| format!("write {path}: {e}"))?;
-            println!("[event trace: {path}]");
-            result
-        } else {
-            session.run().map_err(|e| e.to_string())?
-        }
-    } else if let Some(path) = &opts.trace_out {
-        let (result, trace) = session.run_traced().map_err(|e| e.to_string())?;
-        std::fs::write(path, trace.to_csv()).map_err(|e| format!("write {path}: {e}"))?;
-        println!("[event trace: {path}]");
-        result
-    } else {
-        session.run().map_err(|e| e.to_string())?
-    };
+    let result = match &telemetry {
+        Some(handle) => session.recording(handle.clone()).run(),
+        None => session.run(),
+    }
+    .map_err(|e| e.to_string())?;
 
     if let Some(handle) = &telemetry {
         let buffer = handle.take();
+        if let Some(path) = &opts.trace_out {
+            let trace = wire::simcloud::RunTrace::from_events(&buffer.events);
+            std::fs::write(path, trace.to_csv()).map_err(|e| format!("write {path}: {e}"))?;
+            println!("[event trace: {path}]");
+        }
         if let Some(path) = &opts.trace_chrome {
             std::fs::write(path, wire::telemetry::export::chrome_trace(&buffer, slots))
                 .map_err(|e| format!("write {path}: {e}"))?;
@@ -377,18 +387,8 @@ fn real_main() -> Result<(), String> {
                     ] {
                         let o = Opts {
                             policy: policy.into(),
-                            scheduler: opts.scheduler,
-                            u_mins: opts.u_mins,
-                            seed: opts.seed,
-                            timeline: false,
-                            trace_out: None,
-                            trace_chrome: None,
-                            decisions: None,
-                            metrics_csv: None,
-                            families: opts.families.clone(),
-                            spot_floor: opts.spot_floor,
-                            budget_milli: opts.budget_milli,
                             deadline_mins: None,
+                            ..opts.for_table()
                         };
                         let r = run_one(&wf, &prof, spec.total_input_bytes, &o)?;
                         println!(
@@ -409,18 +409,7 @@ fn real_main() -> Result<(), String> {
                     for u in CHARGING_UNITS_MINS {
                         let o = Opts {
                             u_mins: u,
-                            policy: opts.policy.clone(),
-                            scheduler: opts.scheduler,
-                            seed: opts.seed,
-                            timeline: false,
-                            trace_out: None,
-                            trace_chrome: None,
-                            decisions: None,
-                            metrics_csv: None,
-                            families: opts.families.clone(),
-                            spot_floor: opts.spot_floor,
-                            budget_milli: opts.budget_milli,
-                            deadline_mins: opts.deadline_mins,
+                            ..opts.for_table()
                         };
                         let r = run_one(&wf, &prof, spec.total_input_bytes, &o)?;
                         println!(
@@ -609,7 +598,10 @@ fn run_traffic_cmd(args: &[String]) -> Result<(), String> {
             "--tenants" => spec.tenants = take("--tenants")? as usize,
             "--per-tenant" => spec.per_tenant = take("--per-tenant")? as usize,
             "--mean-gap-secs" => {
-                spec.mean_gap = wire::dag::Millis::from_secs(take("--mean-gap-secs")?)
+                let secs = take("--mean-gap-secs")?;
+                spec.mean_gap = secs.checked_mul(1_000).map(Millis::from_ms).ok_or(format!(
+                    "--mean-gap-secs: {secs} seconds overflow the millisecond clock"
+                ))?;
             }
             "--seed" => spec.seed = take("--seed")?,
             "--threads" => threads = Some(take("--threads")? as usize),
@@ -624,6 +616,22 @@ fn run_traffic_cmd(args: &[String]) -> Result<(), String> {
     }
     if spec.tenants == 0 || spec.per_tenant == 0 {
         return Err("traffic needs at least one tenant and one workflow".into());
+    }
+    // a tenant whose arrivals outlast the simulation horizon cannot finish
+    spec.mean_gap
+        .as_ms()
+        .checked_mul(spec.per_tenant as u64)
+        .ok_or("--mean-gap-secs x --per-tenant overflows the millisecond clock")?;
+    let horizon = spec.config().max_sim_time;
+    if let Some(t) = (0..spec.tenants).find(|&t| {
+        spec.arrival_times(t)
+            .last()
+            .is_some_and(|&at| at >= horizon)
+    }) {
+        return Err(format!(
+            "tenant {t}'s arrivals reach the {horizon} simulation horizon \
+             (lower --mean-gap-secs or --per-tenant)"
+        ));
     }
     eprintln!(
         "traffic: {} arrivals across {} tenant pool(s), {} worker thread(s)",

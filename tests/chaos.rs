@@ -6,7 +6,7 @@
 use wire::core::experiment::{cloud_config_for, Setting};
 use wire::planner::OracleWirePolicy;
 use wire::prelude::*;
-use wire::simcloud::InstanceId;
+use wire::simcloud::{InstanceId, RunTrace};
 use wire_chaos::{FaultPlan, InvariantChecker, Tee};
 
 /// FNV-1a 64; keep in sync with tests/golden.rs (separate test binaries
@@ -34,20 +34,20 @@ fn wire_run_digest_chaotic(workload: WorkloadId, seed: u64, plan: FaultPlan) -> 
     let checker =
         InvariantChecker::new(&cfg).expect_workflow(wf.num_tasks() as u32, wf.num_stages() as u32);
     let policy = WirePolicy::default().with_telemetry(handle.clone());
-    let (result, trace) = Session::new(cfg)
+    let result = Session::new(cfg)
         .transfer(TransferModel::default())
         .policy(policy)
         .seed(seed)
         .recording(Tee(handle.clone(), checker.clone()))
         .chaos(plan)
         .submit(&wf, &prof)
-        .run_traced()
+        .run()
         .expect("run completes");
     let buffer = handle.take();
     checker.absorb_decisions(&buffer.decisions);
     checker.assert_clean();
 
-    let mut blob = trace.render();
+    let mut blob = RunTrace::from_events(&buffer.events).render();
     blob.push_str(&events_to_jsonl(&buffer));
     blob.push_str(&decisions_to_jsonl(&buffer));
     blob.push_str(&format!(

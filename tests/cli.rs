@@ -57,3 +57,38 @@ fn report_rejects_a_malformed_snapshot() {
     let err = fails_cleanly(&["report", path.to_str().expect("utf-8 path")]);
     assert!(err.contains("exceeds max"), "{err}");
 }
+
+#[test]
+fn time_flags_reject_clock_overflow() {
+    for (args, flag) in [
+        (&["run", "tpch6-s", "--u", "999999999999999"][..], "--u"),
+        (
+            &["run", "tpch6-s", "--deadline", "999999999999999"][..],
+            "--deadline",
+        ),
+        (
+            &["traffic", "--mean-gap-secs", "99999999999999999"][..],
+            "--mean-gap-secs",
+        ),
+    ] {
+        let err = fails_cleanly(args);
+        assert!(err.contains(flag), "{err}");
+    }
+}
+
+#[test]
+fn traffic_rejects_arrivals_past_the_horizon() {
+    // at seed 3 the second gap's arrival times sum past u64::MAX ms
+    for gap_secs in ["1000000000", "1800000000000000"] {
+        let err = fails_cleanly(&[
+            "traffic",
+            "--arrivals",
+            "10",
+            "--mean-gap-secs",
+            gap_secs,
+            "--seed",
+            "3",
+        ]);
+        assert!(err.contains("horizon"), "{err}");
+    }
+}

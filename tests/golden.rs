@@ -7,8 +7,9 @@
 //! constants deliberately (and note why in the commit) rather than loosening
 //! the assertions.
 
-use wire::core::experiment::{cloud_config_for, run_setting, Setting};
+use wire::core::experiment::{cloud_config, cloud_config_for, run_setting, Setting};
 use wire::prelude::*;
+use wire::simcloud::RunTrace;
 use wire_chaos::{InvariantChecker, Tee};
 
 const GOLDEN: &[(WorkloadId, Setting, u64, u64, u64, u64)] = &[
@@ -100,19 +101,19 @@ fn wire_run_digest_with(workload: WorkloadId, seed: u64, cfg: CloudConfig) -> (u
     let checker =
         InvariantChecker::new(&cfg).expect_workflow(wf.num_tasks() as u32, wf.num_stages() as u32);
     let policy = WirePolicy::default().with_telemetry(handle.clone());
-    let (result, trace) = Session::new(cfg)
+    let result = Session::new(cfg)
         .transfer(TransferModel::default())
         .policy(policy)
         .seed(seed)
         .recording(Tee(handle.clone(), checker.clone()))
         .submit(&wf, &prof)
-        .run_traced()
+        .run()
         .expect("run completes");
     let buffer = handle.take();
     checker.absorb_decisions(&buffer.decisions);
     checker.assert_clean();
 
-    let mut blob = trace.render();
+    let mut blob = RunTrace::from_events(&buffer.events).render();
     blob.push_str(&events_to_jsonl(&buffer));
     blob.push_str(&decisions_to_jsonl(&buffer));
     blob.push_str(&format!(
@@ -238,4 +239,61 @@ fn golden_wire_beats_full_site_in_the_pinned_cell() {
     let wire = GOLDEN[0];
     let full = GOLDEN[1];
     assert_eq!(full.4 / wire.4, 12);
+}
+
+/// `fnv1a` of the rendered run trace of the churning session below, pinned
+/// when the engine still pushed trace rows through a channel of its own. The
+/// trace projected from the telemetry stream must land on the same bytes.
+const MIXED_SESSION_TRACE_DIGEST: u64 = 0x71c9874137815d42;
+
+/// The four golden runs never stagger workflows, evict spot instances,
+/// OOM-kill tasks, drain instances or crash them; this session does all of
+/// that, so every projection rule of `RunTrace::from_events` is pinned.
+#[test]
+fn mixed_session_trace_digest() {
+    let (epi, epi_prof) = WorkloadId::EpigenomicsS.generate(1);
+    let (tpch, tpch_prof) = WorkloadId::Tpch6S.generate(2);
+    let mem = MemoryProfile::uniform(epi.num_tasks() + tpch.num_tasks(), 200, 700).unwrap();
+    // a 70 s tick off the 1-minute charging grid leaves room to drain
+    let mut cfg = cloud_config(Setting::Wire, Millis::from_mins(1)).failures(Millis::from_mins(60));
+    cfg.mape_interval = Millis::from_secs(70);
+    let slots = cfg.slots_per_instance;
+    cfg.families = vec![
+        FamilySpec::new("od", slots, 1000),
+        FamilySpec::new("spot", slots, 1000)
+            .spot(Millis::from_mins(20), 400)
+            .memory_mb(800),
+    ];
+    let steering = SteeringConfig {
+        spot_on_demand_floor: Some(0.0),
+        memory_blind_families: true,
+        ..SteeringConfig::default()
+    };
+    let handle = TelemetryHandle::new();
+    Session::new(cfg)
+        .transfer(TransferModel::default())
+        .policy(WirePolicy::new(steering))
+        .seed(3)
+        .memory(mem)
+        .recording(handle.clone())
+        .submit(&epi, &epi_prof)
+        .submit_at(Millis::from_mins(10), &tpch, &tpch_prof)
+        .run()
+        .expect("run completes despite the churn");
+    let rendered = RunTrace::from_events(&handle.take().events).render();
+    for row in [
+        "WorkflowSubmitted",
+        "WorkflowCompleted",
+        "SpotEvicted",
+        "TaskOom",
+        "InstanceDraining",
+        "InstanceFailed",
+    ] {
+        assert!(rendered.contains(row), "no {row} row in the trace");
+    }
+    let digest = fnv1a(rendered.as_bytes());
+    assert_eq!(
+        digest, MIXED_SESSION_TRACE_DIGEST,
+        "projected trace moved (digest {digest:#x})"
+    );
 }

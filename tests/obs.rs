@@ -17,6 +17,7 @@ use std::path::PathBuf;
 
 use wire::core::experiment::{cloud_config, cloud_config_for, Setting};
 use wire::prelude::*;
+use wire::simcloud::RunTrace;
 use wire_campaign::{run_campaign, CacheMode, CampaignConfig, Cell};
 use wire_chaos::{InvariantChecker, Tee};
 
@@ -55,20 +56,20 @@ fn streaming_recorder_composes_without_perturbing_golden_digest() {
     let policy = WirePolicy::default()
         .with_telemetry(handle.clone())
         .with_obs(obs.clone());
-    let (result, trace) = Session::new(cfg)
+    let result = Session::new(cfg)
         .transfer(TransferModel::default())
         .policy(policy)
         .seed(seed)
         .recording(Tee(handle.clone(), Tee(checker.clone(), obs.clone())))
         .submit(&wf, &prof)
-        .run_traced()
+        .run()
         .expect("run completes");
     let buffer = handle.take();
     checker.absorb_decisions(&buffer.decisions);
     checker.assert_clean();
 
     // same blob layout as tests/golden.rs::wire_run_digest
-    let mut blob = trace.render();
+    let mut blob = RunTrace::from_events(&buffer.events).render();
     blob.push_str(&events_to_jsonl(&buffer));
     blob.push_str(&decisions_to_jsonl(&buffer));
     blob.push_str(&format!(
